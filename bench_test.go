@@ -217,13 +217,12 @@ func parseDur(s string) float64 {
 //     Advance returns without any goroutine switch;
 //   - handoff: eight threads in lockstep, every Advance a fused
 //     replace-top handoff to the next thread;
-//   - nofastpath: the same lockstep workload with the fast path
-//     disabled (the A/B determinism configuration).
+//   - nofastpath: the same lockstep workload on the reference
+//     scheduler (Engine.SetFastPath(false)).
 func BenchmarkEngineStep(b *testing.B) {
 	run := func(b *testing.B, threads int, fastPath bool) {
-		prev := sim.SetDefaultFastPath(fastPath)
-		defer sim.SetDefaultFastPath(prev)
 		e := sim.NewEngine()
+		e.SetFastPath(fastPath)
 		for t := 0; t < threads; t++ {
 			n := b.N / threads
 			e.Spawn("w", func(th *sim.Thread) {

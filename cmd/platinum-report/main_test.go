@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"platinum/internal/apps"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -163,16 +161,16 @@ func TestSpansGolden(t *testing.T) {
 	checkGolden(t, "gauss_spans.golden.json", got)
 }
 
-// TestPoolingOutputIdentical is the end-to-end pooled-vs-reference
-// gate: for gauss and mergesort, every output mode (-json report,
-// -trace timeline, -spans Chrome trace) must be byte-identical between
-// the reference mode (pooling off, fresh kernel each run) and the
-// pooled mode — including a second pooled run, which exercises a
-// reused, reset platform instead of a fresh boot.
+// TestPoolingOutputIdentical is the end-to-end platform-reuse gate: for
+// gauss and mergesort, every output mode (-json report, -trace
+// timeline, -spans Chrome trace, -hist/-series) must be byte-identical
+// across two back-to-back runs. The CLI releases its platform to the
+// pool, so the second run always executes on the reset platform the
+// first one released.
 func TestPoolingOutputIdentical(t *testing.T) {
 	dir := t.TempDir()
 	for _, app := range []string{"gauss", "mergesort"} {
-		// Small sizes keep the three-runs-per-mode matrix fast.
+		// Small sizes keep the two-runs-per-mode matrix fast.
 		base := []string{"-app", app, "-n", "16", "-procs", "2"}
 		if app == "mergesort" {
 			base = []string{"-app", app, "-n", "256", "-procs", "2"}
@@ -212,17 +210,10 @@ func TestPoolingOutputIdentical(t *testing.T) {
 				}
 				return out
 			}
-			prev := apps.SetPooling(false)
-			ref := capture()
-			apps.SetPooling(true)
-			first := capture()  // cold pool: fresh boot, released after
-			second := capture() // warm pool: reused, reset platform
-			apps.SetPooling(prev)
-			if first != ref {
-				t.Errorf("%s/%s: pooled output differs from reference", app, m.name)
-			}
-			if second != ref {
-				t.Errorf("%s/%s: reused-platform output differs from reference", app, m.name)
+			first := capture()
+			second := capture() // on the platform first released
+			if second != first {
+				t.Errorf("%s/%s: reused-platform output differs from the previous run", app, m.name)
 			}
 		}
 	}

@@ -42,18 +42,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "platinum-stress: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "platinum-stress: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	cfg := stress.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Ops = *ops
@@ -64,6 +52,22 @@ func main() {
 	cfg.Bug = *bug
 	if *faults {
 		cfg.Faults = stress.DefaultFaultConfig()
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "platinum-stress: %v\n", err)
+		os.Exit(2)
+	}
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "platinum-stress: %v\n", err)
+			os.Exit(1)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "platinum-stress: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	code := 0

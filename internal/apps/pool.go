@@ -8,38 +8,17 @@ package apps
 // the previous run grew: reusing one platform per configuration drives
 // per-run setup allocations down by an order of magnitude.
 //
-// Pooling is behaviour-preserving by construction — a reset kernel runs
-// any workload bit-for-bit identically to a freshly booted one — and
-// SetPooling(false) provides the reference mode (mirroring
-// sim.SetDefaultFastPath) that the determinism tests A/B against.
+// Pooling is behaviour-preserving by construction: a reset kernel runs
+// any workload bit-for-bit identically to a freshly booted one.
+// TestResetMatchesFreshBoot checks that against fresh boots, and the
+// experiment digest gate (internal/exp) re-runs tables on a warm pool
+// against committed digests.
 
 import (
 	"sync"
 
 	"platinum/internal/kernel"
 )
-
-// poolingEnabled gates platform reuse; see SetPooling.
-var poolingEnabled = true
-
-// SetPooling sets whether AcquirePlatform reuses reset platforms from
-// the pool (the default) or boots a fresh kernel every time (the
-// reference mode for A/B determinism tests), returning the previous
-// setting. Turning pooling off also empties the pool, so a subsequent
-// re-enable cannot resurrect platforms acquired under different
-// expectations. Safe to call from tests around parallel runs: the pool
-// itself is mutex-guarded, though the flag flip should happen while no
-// runs are in flight.
-func SetPooling(on bool) bool {
-	platformPool.mu.Lock()
-	defer platformPool.mu.Unlock()
-	prev := poolingEnabled
-	poolingEnabled = on
-	if !on {
-		clear(platformPool.free)
-	}
-	return prev
-}
 
 // platformPool holds reset PLATINUM platforms keyed by configuration
 // key. The mutex only guards the pool itself — acquired platforms are
@@ -55,22 +34,20 @@ var platformPool struct {
 const maxPooledPerKey = 32
 
 // AcquirePlatform returns a PLATINUM platform for the given
-// configuration: a pooled one, reset and re-wrapped, when pooling is on
-// and one is free, otherwise a freshly booted kernel. The key must
-// uniquely identify cfg — two callers using the same key with different
-// configs would share pools and corrupt each other's timings — so
-// callers encode every varying parameter (page words, source selection,
-// policy, ...) into it. Release the platform with ReleasePlatform after
-// a successful run so the next acquisition can reuse it.
+// configuration: a pooled one, reset and re-wrapped, when one is free,
+// otherwise a freshly booted kernel. The key must uniquely identify
+// cfg — two callers using the same key with different configs would
+// share pools and corrupt each other's timings — so callers encode
+// every varying parameter (page words, source selection, policy, ...)
+// into it. Release the platform with ReleasePlatform after a successful
+// run so the next acquisition can reuse it.
 func AcquirePlatform(key string, cfg kernel.Config) (*PlatinumPlatform, error) {
 	platformPool.mu.Lock()
 	var pl *PlatinumPlatform
-	if poolingEnabled {
-		if free := platformPool.free[key]; len(free) > 0 {
-			pl = free[len(free)-1]
-			free[len(free)-1] = nil
-			platformPool.free[key] = free[:len(free)-1]
-		}
+	if free := platformPool.free[key]; len(free) > 0 {
+		pl = free[len(free)-1]
+		free[len(free)-1] = nil
+		platformPool.free[key] = free[:len(free)-1]
 	}
 	platformPool.mu.Unlock()
 	if pl != nil {
@@ -83,18 +60,14 @@ func AcquirePlatform(key string, cfg kernel.Config) (*PlatinumPlatform, error) {
 // ReleasePlatform returns a platform acquired with AcquirePlatform to
 // the pool under the same key. Call it only after a successful run: a
 // platform whose run failed mid-way may hold threads the engine cannot
-// Reset past, so error paths simply drop the platform. A release while
-// pooling is off (or the per-key bound is reached) discards the
-// platform.
+// Reset past, so error paths simply drop the platform. A release past
+// the per-key bound discards the platform.
 func ReleasePlatform(key string, pl *PlatinumPlatform) {
 	if pl == nil {
 		return
 	}
 	platformPool.mu.Lock()
 	defer platformPool.mu.Unlock()
-	if !poolingEnabled {
-		return
-	}
 	if platformPool.free == nil {
 		platformPool.free = make(map[string][]*PlatinumPlatform)
 	}

@@ -119,13 +119,10 @@ func TestSpansReconcileMergeSortPTBatched(t *testing.T) {
 		[]span.Kind{span.KindPmapWalk, span.KindShootTarget})
 }
 
-// TestSpansReconcileTopoMix256PTVariants is the large-machine gate: a
-// 256-node clustered topology (16-node clusters, far=2000‰, contended
-// cluster switches — the pt-variants sweep's shape), where walks are
-// distance-scaled and replica homes are per-cluster rather than
-// per-node. Reconciliation must stay exact for every variant.
-func TestSpansReconcileTopoMix256PTVariants(t *testing.T) {
-	const nodes, clusterSize = 256, 16
+// clusterTopo returns a nodes-node machine of clusterSize-node
+// clusters (far=2000‰ between clusters, contended cluster switches,
+// 256-word pages): the pt-variants sweep's shape.
+func clusterTopo(name string, nodes, clusterSize int) *mach.Topology {
 	base := mach.DefaultConfig()
 	base.Nodes = nodes
 	base.PageWords = 256
@@ -141,12 +138,22 @@ func TestSpansReconcileTopoMix256PTVariants(t *testing.T) {
 			}
 		}
 	}
-	topo := &mach.Topology{
-		Name:     "ptspan-cluster-256",
+	return &mach.Topology{
+		Name:     name,
 		Base:     base,
 		Distance: dist,
 		Levels:   []mach.SwitchLevel{{Domain: domain, PerWord: 50 * sim.Nanosecond}},
 	}
+}
+
+// TestSpansReconcileTopoMix256PTVariants is the large-machine gate: a
+// 256-node clustered topology (16-node clusters, far=2000‰, contended
+// cluster switches — the pt-variants sweep's shape), where walks are
+// distance-scaled and replica homes are per-cluster rather than
+// per-node. Reconciliation must stay exact for every variant.
+func TestSpansReconcileTopoMix256PTVariants(t *testing.T) {
+	const nodes = 256
+	topo := clusterTopo("ptspan-cluster-256", nodes, 16)
 	variants := []struct {
 		name string
 		pt   core.PTConfig

@@ -1,81 +1,117 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
 	"strings"
 	"testing"
-
-	"platinum/internal/apps"
-	"platinum/internal/sim"
 )
 
-// render runs experiment id and returns its table rendered to text.
-func render(t *testing.T, id string, o Options) string {
-	t.Helper()
-	e, ok := Find(id)
-	if !ok {
-		t.Fatalf("unknown experiment %q", id)
-	}
-	tab, err := e.Run(o)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	var b strings.Builder
-	if _, err := tab.WriteTo(&b); err != nil {
-		t.Fatalf("%s: render: %v", id, err)
-	}
-	return b.String()
-}
+var update = flag.Bool("update", false, "rewrite testdata/quick_tables.json")
 
-// TestFastPathTableIdentical is the scheduler regression gate: the
-// rendered fig1 table with the scheduler fast path forced off must be
-// byte-identical to the table with it on.
-func TestFastPathTableIdentical(t *testing.T) {
-	o := Options{Quick: true, Parallelism: 1}
-	prev := sim.SetDefaultFastPath(false)
-	slow := render(t, "fig1", o)
-	sim.SetDefaultFastPath(true)
-	fast := render(t, "fig1", o)
-	sim.SetDefaultFastPath(prev)
-	if slow != fast {
-		t.Fatalf("fig1 output differs between scheduler paths:\n--- fast path off ---\n%s--- fast path on ---\n%s", slow, fast)
-	}
-}
+// quickDigests holds the SHA-256 digest of every experiment's quick
+// table as rendered by Table.WriteTo, keyed by experiment id.
+const quickDigests = "testdata/quick_tables.json"
 
-// TestPoolingTableIdentical is the platform-pool regression gate: the
-// rendered tables with pooling off (every run boots a fresh kernel, the
-// reference mode) must be byte-identical to the tables with pooling on,
-// including on a second pooled pass where every platform is a reused,
-// reset kernel rather than a fresh boot. fig1 covers gauss, fig5
-// mergesort — the two workloads the pooled hot path was tuned on.
-func TestPoolingTableIdentical(t *testing.T) {
-	o := Options{Quick: true, Parallelism: 1}
-	for _, id := range []string{"fig1", "fig5"} {
-		prev := apps.SetPooling(false)
-		ref := render(t, id, o)
-		apps.SetPooling(true)
-		first := render(t, id, o)  // cold pool: fresh boots, warm releases
-		second := render(t, id, o) // warm pool: every platform reused
-		apps.SetPooling(prev)
-		if first != ref {
-			t.Fatalf("%s output differs between pooled and reference runs:\n--- pooling off ---\n%s--- pooling on ---\n%s", id, ref, first)
+// warmIDs are the experiments the digest gate re-runs one simulation at
+// a time on the platform pool the full pass left warm: the paper's
+// figures plus the policy and basic-operation sweeps.
+var warmIDs = []string{"fig1", "fig5", "fig6", "policy-ablation", "basic-ops"}
+
+// TestAllExperimentsRunQuick is the experiment digest gate. Every
+// rendered quick table must match its committed digest, so a change to
+// any simulated result, in any mode, fails here; a change meant to
+// alter results rewrites the file with -update and says so.
+//
+// Pass A runs all experiments with 8 simulations in flight. It is the
+// first test in the package, so it starts on a cold platform pool:
+// every platform is a fresh boot until a run releases one. Pass B
+// re-runs warmIDs serially, on reset platforms the pool kept from pass
+// A, against the same digests. Together they cover the scheduler fast
+// path, parallel and serial harness runs, and fresh and reused
+// platforms. Pass B also runs under -short.
+func TestAllExperimentsRunQuick(t *testing.T) {
+	want := map[string]string{}
+	if *update {
+		if testing.Short() {
+			t.Fatal("-update rewrites every digest; run without -short")
 		}
-		if second != ref {
-			t.Fatalf("%s output differs on reused platforms:\n--- pooling off ---\n%s--- pooled, second pass ---\n%s", id, ref, second)
+	} else {
+		b, err := os.ReadFile(quickDigests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b, &want); err != nil {
+			t.Fatalf("%s: %v", quickDigests, err)
 		}
 	}
-}
-
-// TestParallelismTableIdentical is the harness regression gate: running
-// an experiment's simulations 8 at a time must render byte-identically
-// to running them one at a time.
-func TestParallelismTableIdentical(t *testing.T) {
-	for _, id := range []string{"fig1", "policy-ablation", "basic-ops"} {
-		serial := render(t, id, Options{Quick: true, Parallelism: 1})
-		parallel := render(t, id, Options{Quick: true, Parallelism: 8})
-		if serial != parallel {
-			t.Fatalf("%s output differs between -j 1 and -j 8:\n--- j1 ---\n%s--- j8 ---\n%s", id, serial, parallel)
+	gate := func(t *testing.T, e Experiment, o Options, record bool) {
+		tab, err := e.Run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if tab.ID != e.ID {
+			t.Errorf("table id %q != experiment id %q", tab.ID, e.ID)
+		}
+		if len(tab.Rows) == 0 {
+			t.Error("no rows")
+		}
+		for _, row := range tab.Rows {
+			if len(row) != len(tab.Header) {
+				t.Errorf("row %v has %d cells, header has %d", row, len(row), len(tab.Header))
+			}
+		}
+		var sb strings.Builder
+		if _, err := tab.WriteTo(&sb); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		sum := sha256.Sum256([]byte(sb.String()))
+		got := hex.EncodeToString(sum[:])
+		if *update && record {
+			want[e.ID] = got
+			return
+		}
+		if got != want[e.ID] {
+			t.Errorf("%s table digest %.12s, committed %.12s; rerun with -update only if the change is meant to alter simulated results. Table:\n%s",
+				e.ID, got, want[e.ID], sb.String())
 		}
 	}
+
+	if !testing.Short() {
+		for _, e := range All() {
+			t.Run(e.ID, func(t *testing.T) {
+				gate(t, e, Options{Quick: true, Parallelism: 8}, true)
+			})
+		}
+		for id := range want {
+			if _, ok := Find(id); !ok {
+				t.Errorf("%s: digest for unregistered experiment %q", quickDigests, id)
+			}
+		}
+		if *update {
+			b, err := json.MarshalIndent(want, "", "\t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(quickDigests, append(b, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Run("warm", func(t *testing.T) {
+		for _, id := range warmIDs {
+			e, ok := Find(id)
+			if !ok {
+				t.Fatalf("unknown experiment %q", id)
+			}
+			t.Run(id, func(t *testing.T) {
+				gate(t, e, Options{Quick: true, Parallelism: 1}, false)
+			})
+		}
+	})
 }
 
 // TestForEachOrderAndErrors checks the worker pool runs every job and

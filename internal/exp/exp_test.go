@@ -1,45 +1,6 @@
 package exp
 
-import (
-	"strings"
-	"testing"
-)
-
-// TestAllExperimentsRunQuick executes every registered experiment in
-// quick mode and sanity-checks the output tables.
-func TestAllExperimentsRunQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments take a while even in quick mode")
-	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			tab, err := e.Run(Options{Quick: true})
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if tab.ID != e.ID {
-				t.Errorf("table id %q != experiment id %q", tab.ID, e.ID)
-			}
-			if len(tab.Rows) == 0 {
-				t.Error("no rows")
-			}
-			for _, row := range tab.Rows {
-				if len(row) != len(tab.Header) {
-					t.Errorf("row %v has %d cells, header has %d", row, len(row), len(tab.Header))
-				}
-			}
-			var sb strings.Builder
-			if _, err := tab.WriteTo(&sb); err != nil {
-				t.Fatalf("WriteTo: %v", err)
-			}
-			if !strings.Contains(sb.String(), e.ID) {
-				t.Error("rendered table missing id")
-			}
-			t.Logf("\n%s", sb.String())
-		})
-	}
-}
+import "testing"
 
 func TestRegistry(t *testing.T) {
 	want := []string{

@@ -96,26 +96,30 @@ func TestFastPathStats(t *testing.T) {
 	}
 }
 
-// TestSetDefaultFastPath checks the package-level default reaches new
-// engines and reports the previous value.
-func TestSetDefaultFastPath(t *testing.T) {
-	prev := SetDefaultFastPath(false)
-	defer SetDefaultFastPath(prev)
+// TestResetRestoresFastPath checks Reset re-enables a fast path the
+// previous run turned off, as NewEngine would have it.
+func TestResetRestoresFastPath(t *testing.T) {
 	e := NewEngine()
-	e.Spawn("solo", func(th *Thread) {
+	e.SetFastPath(false)
+	solo := func(th *Thread) {
 		for i := 0; i < 10; i++ {
 			th.Advance(10)
 		}
-	})
+	}
+	e.Spawn("solo", solo)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	fast, _ := e.Stats()
-	if fast != 0 {
-		t.Errorf("fastSteps = %d with default fast path off, want 0", fast)
+	if fast, _ := e.Stats(); fast != 0 {
+		t.Errorf("fastSteps = %d with the fast path off, want 0", fast)
 	}
-	if on := SetDefaultFastPath(true); on != false {
-		t.Errorf("SetDefaultFastPath reported previous = %v, want false", on)
+	e.Reset()
+	e.Spawn("solo", solo)
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run after Reset: %v", err)
+	}
+	if fast, _ := e.Stats(); fast < 10 {
+		t.Errorf("fastSteps = %d after Reset, want >= 10", fast)
 	}
 }
 

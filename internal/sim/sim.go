@@ -20,8 +20,8 @@
 //
 //   - fast path: a thread that advances its clock and remains strictly
 //     the earliest runnable thread keeps executing in place (see
-//     Thread.Advance); SetFastPath / SetDefaultFastPath disable this
-//     for A/B testing.
+//     Thread.Advance); Engine.SetFastPath disables this, leaving the
+//     reference scheduler the fast path must match.
 //   - direct handoff: a thread that does yield resumes the next
 //     runnable thread itself, without a round trip through the engine
 //     goroutine; the engine goroutine is woken only for termination,
@@ -31,7 +31,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"platinum/internal/hist"
@@ -86,11 +85,7 @@ type Engine struct {
 	readyND  int // non-daemon threads currently in the ready heap
 	stopping bool
 	fastPath bool
-	// spinIters > 0 enables spin handoff: a thread waiting for the
-	// control token busy-polls its grant mailbox for this many
-	// iterations before parking on its channel (see Thread.park).
-	spinIters int
-	fail      error // first thread-body panic, reported by Run
+	fail     error // first thread-body panic, reported by Run
 
 	// wake returns control to the engine goroutine (blocked in Run or
 	// shutdown) when a yielding or finishing thread cannot hand off to
@@ -154,81 +149,22 @@ func (e *Engine) pushReady(t *Thread) {
 	}
 }
 
-// defaultFastPath is the fast-path setting inherited by new engines.
-var defaultFastPath = true
-
-// defaultSpinIters is the spin-handoff setting inherited by new
-// engines. Off by default: spinning trades whole idle processors for
-// handoff latency, which is the right trade only when the process runs
-// one simulation at a time (see SetDefaultSpinHandoff).
-var defaultSpinIters = 0
-
-// SetDefaultFastPath sets whether engines created by NewEngine use the
-// scheduler fast path (see SetFastPath), returning the previous value.
-// It exists so determinism tests can force the slow path through layers
-// that construct their own engines; it is not safe to call concurrently
-// with NewEngine.
-func SetDefaultFastPath(on bool) bool {
-	prev := defaultFastPath
-	defaultFastPath = on
-	return prev
-}
-
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
 	return &Engine{
-		threads:   make(map[int]*Thread),
-		fastPath:  defaultFastPath,
-		spinIters: defaultSpinIters,
-		wake:      make(chan struct{}),
+		threads:  make(map[int]*Thread),
+		fastPath: true,
+		wake:     make(chan struct{}),
 	}
 }
-
-// SetDefaultSpinHandoff sets the spin-handoff window inherited by
-// engines created by NewEngine (and re-inherited by Engine.Reset),
-// returning the previous value. iters is the number of mailbox polls a
-// waiting thread performs before parking in the scheduler; 0 disables
-// spinning entirely.
-//
-// Spin handoff cuts the cost of a thread-to-thread dispatch from a
-// goroutine wakeup (~hundreds of ns through the runtime scheduler) to
-// one atomic store, at the price of waiting threads burning their
-// processors while they poll. Enable it only when the process runs one
-// simulation at a time with processors to spare — the serial benchmark
-// harness does; a parallel -j sweep must not. Dispatch order, and
-// therefore every simulation result, is bit-for-bit identical either
-// way. Not safe to call concurrently with NewEngine.
-func SetDefaultSpinHandoff(iters int) int {
-	prev := defaultSpinIters
-	defaultSpinIters = iters
-	cap := int32(runtime.GOMAXPROCS(0) - 2)
-	if cap < 0 {
-		cap = 0
-	}
-	spinnerCap.Store(cap)
-	return prev
-}
-
-// SetSpinnerCap overrides the process-wide bound on concurrently
-// spinning waiters (see park). SetDefaultSpinHandoff resets it to
-// GOMAXPROCS-2.
-func SetSpinnerCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	spinnerCap.Store(int32(n))
-}
-
-// SetSpinHandoff sets this engine's spin-handoff window (see
-// SetDefaultSpinHandoff). Must not be called while Run is in progress.
-func (e *Engine) SetSpinHandoff(iters int) { e.spinIters = iters }
 
 // SetFastPath enables or disables the scheduler fast path, under which
 // a thread calling Advance or Yield keeps executing in place whenever
 // it is still strictly the earliest runnable thread (so the dispatcher
 // would immediately re-select it anyway). The dispatch order — and
 // therefore every simulation result — is identical either way; only
-// the goroutine handoffs are elided. Enabled by default.
+// the goroutine handoffs are elided. Enabled by default; Reset
+// enables it again.
 func (e *Engine) SetFastPath(on bool) { e.fastPath = on }
 
 // Stats reports scheduler counters: dispatches elided by the fast path
@@ -264,7 +200,6 @@ func (e *Engine) Spawn(name string, fn func(*Thread)) *Thread {
 	t.born = e.now
 	t.acct = Account{}
 	t.node = -1
-	t.grant.Store(grantArmed)
 	e.nextID++
 	e.threads[t.id] = t
 	e.nlive++
@@ -439,8 +374,7 @@ func (e *Engine) Reset() {
 	e.nlive = 0
 	e.readyND = 0
 	e.stopping = false
-	e.fastPath = defaultFastPath
-	e.spinIters = defaultSpinIters // re-inherit, like NewEngine
+	e.fastPath = true
 	e.fail = nil
 	e.fastSteps = 0
 	e.slowSteps = 0

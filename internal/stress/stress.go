@@ -148,6 +148,22 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports a configuration Generate cannot draw a schedule
+// from: a negative length, or no processors, spaces or pages to pick.
+func (c Config) Validate() error {
+	switch {
+	case c.Ops < 0:
+		return fmt.Errorf("stress: Ops = %d, must be >= 0", c.Ops)
+	case c.Procs < 1:
+		return fmt.Errorf("stress: Procs = %d, must be >= 1", c.Procs)
+	case c.Spaces < 1:
+		return fmt.Errorf("stress: Spaces = %d, must be >= 1", c.Spaces)
+	case c.Pages < 1:
+		return fmt.Errorf("stress: Pages = %d, must be >= 1", c.Pages)
+	}
+	return nil
+}
+
 // Generate derives the deterministic op schedule for cfg from its seed.
 func Generate(cfg Config) []Op {
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -244,8 +260,12 @@ type Result struct {
 
 // Run generates the schedule for cfg, replays it, and — when shrink is
 // set and the run failed — shrinks the schedule to a minimal reproducer
-// (available via Result.Failure.Ops).
+// (available via Result.Failure.Ops). An invalid cfg is reported as a
+// Failure at op -1, like a machine that fails to boot.
 func Run(cfg Config, shrink bool) *Result {
+	if err := cfg.Validate(); err != nil {
+		return &Result{Failure: &Failure{Seed: cfg.Seed, OpIndex: -1, Err: err}}
+	}
 	ops := Generate(cfg)
 	res := Replay(cfg, ops)
 	if res.Failure != nil && shrink {

@@ -161,3 +161,39 @@ func TestFrameExhaustionIsLegal(t *testing.T) {
 		t.Errorf("accesses stopped succeeding under exhaustion: reads=%d writes=%d", res.Reads, res.Writes)
 	}
 }
+
+// TestInvalidConfigIsAFailure checks every out-of-range schedule
+// parameter is rejected by Validate and reported by Run as a Failure
+// naming the field, never a panic.
+func TestInvalidConfigIsAFailure(t *testing.T) {
+	cases := []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Ops", func(c *Config) { c.Ops = -1 }},
+		{"Procs", func(c *Config) { c.Procs = 0 }},
+		{"Procs", func(c *Config) { c.Procs = -1 }},
+		{"Spaces", func(c *Config) { c.Spaces = 0 }},
+		{"Spaces", func(c *Config) { c.Spaces = -1 }},
+		{"Pages", func(c *Config) { c.Pages = 0 }},
+		{"Pages", func(c *Config) { c.Pages = -1 }},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		tc.set(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: Validate = %v, want an error naming %s", cfg, err, tc.field)
+			continue
+		}
+		res := Run(cfg, true)
+		if res.Failure == nil || res.Failure.Err.Error() != err.Error() {
+			t.Errorf("%+v: Run failure = %v, want %v", cfg, res.Failure, err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Ops = 0
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Ops = 0: Validate = %v, want nil (an empty schedule is valid)", err)
+	}
+}

@@ -81,6 +81,18 @@ for tag in $(grep -o 'json:"[a-z0-9_]*' internal/metrics/telemetry.go | cut -d'"
 	fi
 done
 
+# 8. Every `pkg.Symbol` (or `pkg.Type.Member`) reference to an internal
+#    package in the prose docs must resolve with go doc, so a deleted or
+#    renamed API cannot stay documented.
+pkgs=$(ls -d internal/*/ | xargs -n1 basename | paste -sd'|' -)
+for ref in $(grep -ohE "\b($pkgs)\.[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)?" \
+	README.md DESIGN.md EXPERIMENTS.md CONTRIBUTING.md TOPOLOGY.md | sort -u); do
+	if ! go doc "platinum/internal/${ref%%.*}" "${ref#*.}" >/dev/null 2>&1; then
+		echo "docs: $ref does not resolve (go doc platinum/internal/${ref%%.*} ${ref#*.})"
+		fail=1
+	fi
+done
+
 if [ "$fail" -ne 0 ]; then
 	echo "check-docs: FAILED"
 	exit 1

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check-topo.sh — the CI topology-sweep smoke lane.
 #
-# Three gates, all well under the bench-smoke budget:
+# Two gates, both well under the bench-smoke budget:
 #
 #   1. The shipped example topologies and TOPOLOGY.md's embedded JSON
 #      validate with the real loader (scripts/topocheck).
@@ -11,8 +11,11 @@
 #      verified TopoMix workload under every policy, and checks the
 #      per-cause conservation invariant on each run (runTopoMixAt
 #      fails the experiment otherwise).
-#   3. The built-in sweeps' quick variants (topo-nodes up to 64 nodes,
-#      topo-skew, topo-tiers) complete with conservation intact.
+#
+# The built-in sweeps' quick variants (topo-nodes, topo-skew,
+# topo-tiers) are not rerun here: the tier-1 digest gate
+# (TestAllExperimentsRunQuick in internal/exp) runs them, conservation
+# checks included, and pins their tables to committed digests.
 #
 # Usage (from the repository root): ./scripts/check-topo.sh
 set -eu
@@ -22,8 +25,5 @@ go run ./scripts/topocheck TOPOLOGY.md examples/topologies/*.json
 
 echo "check-topo: 64-node sweep point (cluster-64.json, all policies)..."
 go run ./cmd/platinum-bench -quick -topology examples/topologies/cluster-64.json -exp topo-custom
-
-echo "check-topo: built-in sweeps (quick)..."
-go run ./cmd/platinum-bench -quick -exp topo-nodes,topo-skew,topo-tiers
 
 echo "check-topo: OK"
