@@ -61,6 +61,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *timeline != "" && (*trace <= 0 || *bucket <= 0) {
+		fmt.Fprintln(stderr, "platinum-report: -timeline requires -trace n > 0 and a positive -bucket")
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "platinum-report:", err)
 		return 1

@@ -233,6 +233,35 @@ func TestHistRejectsAnecdote(t *testing.T) {
 	}
 }
 
+// TestTimelineUsageErrors checks that a timeline the run could not
+// write is a usage error (exit 2, a message, no file) instead of a
+// silent success.
+func TestTimelineUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"no trace", nil},
+		{"zero bucket", []string{"-trace", "2000", "-bucket", "0"}},
+		{"negative bucket", []string{"-trace", "2000", "-bucket", "-1ms"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tl := filepath.Join(t.TempDir(), "timeline.jsonl")
+			args := append([]string{"-app", "gauss", "-n", "16", "-procs", "2", "-timeline", tl}, tc.args...)
+			var out, errb bytes.Buffer
+			if code := run(args, &out, &errb); code != 2 {
+				t.Errorf("exit code %d, want 2", code)
+			}
+			if !strings.Contains(errb.String(), "-timeline requires -trace") {
+				t.Errorf("stderr %q does not name the problem", errb.String())
+			}
+			if _, err := os.Stat(tl); !os.IsNotExist(err) {
+				t.Errorf("timeline file written (stat error %v)", err)
+			}
+		})
+	}
+}
+
 func TestUnknownAppFails(t *testing.T) {
 	_, code := runCmd(t, "-app", "nosuch")
 	if code != 1 {

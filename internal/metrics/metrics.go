@@ -235,8 +235,12 @@ type TimelineBucket struct {
 // WriteTimelineJSONL writes the trace's per-node time-bucketed series
 // as JSON Lines, one TimelineBucket per line, ordered by bucket start
 // then node. Empty (node, bucket) pairs are omitted, so the stream
-// size tracks activity, not elapsed time.
+// size tracks activity, not elapsed time. A non-positive width is an
+// error.
 func WriteTimelineJSONL(w io.Writer, events []core.Event, width sim.Time) error {
+	if width <= 0 {
+		return fmt.Errorf("metrics: timeline bucket width %d must be positive", width)
+	}
 	enc := json.NewEncoder(w)
 	for _, nb := range trace.NodeBuckets(events, width) {
 		b := TimelineBucket{

@@ -101,6 +101,16 @@ func TestTimelineGoldenV1(t *testing.T) {
 	}
 }
 
+func TestTimelineRejectsNonPositiveWidth(t *testing.T) {
+	events := []core.Event{{Time: 0, Kind: core.EvReadFault, Proc: 0, Cpage: 1}}
+	for _, width := range []sim.Time{0, -1} {
+		var buf bytes.Buffer
+		if err := WriteTimelineJSONL(&buf, events, width); err == nil || buf.Len() != 0 {
+			t.Errorf("width %d: err %v, %d bytes written; want an error and no output", width, err, buf.Len())
+		}
+	}
+}
+
 func TestBreakdownTotalsAndFractions(t *testing.T) {
 	a := fixedAccount(1)
 	b := FromAccount(a)
