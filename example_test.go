@@ -105,7 +105,7 @@ func ExampleNeverCache() {
 	}
 	obj, _ := k.Manager().LookupObject("stay")
 	fmt.Println("copies:", len(obj.Cpage(0).Copies()))
-	fmt.Println("replications:", obj.Cpage(0).Stats.Replications)
+	fmt.Println("replications:", obj.Cpage(0).Stats.Events[platinum.EvReplication])
 	// Output:
 	// copies: 1
 	// replications: 0

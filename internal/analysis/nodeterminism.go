@@ -188,7 +188,7 @@ func mapRangeEmissionSource(pass *Pass, rng *ast.RangeStmt) (nondetSource, bool)
 // Write methods, json.Encoder.Encode), stepping the simulation
 // scheduler (sim.Thread / sim.Engine methods that advance, charge,
 // block or spawn), or recording trace state (span.Recorder, core's
-// event tracer).
+// event funnel).
 func emitCallName(pass *Pass, call *ast.CallExpr) string {
 	fn := calleeFunc(pass.Info, call)
 	if fn == nil {
@@ -214,8 +214,8 @@ func emitCallName(pass *Pass, call *ast.CallExpr) string {
 			return "span." + recvQual(fn) + name
 		}
 	case pathHasSuffix(path, "internal/core"):
-		if name == "trace" {
-			return "core.System.trace"
+		if name == "note" {
+			return "core.System.note"
 		}
 	}
 	// Writer-style methods regardless of package: emitting through any

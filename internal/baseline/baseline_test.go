@@ -140,7 +140,7 @@ func TestUniformSystemNeverMoves(t *testing.T) {
 		if len(copies) != 1 || copies[0].Module != i%k.Nodes() {
 			t.Errorf("page %d copies %v, want single copy on module %d", i, copies, i%k.Nodes())
 		}
-		if cp.Stats.Replications+cp.Stats.Migrations != 0 {
+		if cp.Stats.Events[core.EvReplication]+cp.Stats.Events[core.EvMigration] != 0 {
 			t.Errorf("page %d moved", i)
 		}
 	}

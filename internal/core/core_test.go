@@ -6,6 +6,7 @@ import (
 
 	"platinum/internal/mach"
 	"platinum/internal/sim"
+	"platinum/internal/span"
 )
 
 // fixture wires an engine, machine and coherent memory system together
@@ -97,8 +98,8 @@ func TestFirstReadMaterializesLocally(t *testing.T) {
 	if len(cp.Copies()) != 1 {
 		t.Errorf("copies = %d, want 1", len(cp.Copies()))
 	}
-	if cp.Stats.ReadFaults != 1 {
-		t.Errorf("read faults = %d, want 1", cp.Stats.ReadFaults)
+	if cp.Stats.Events[EvReadFault] != 1 {
+		t.Errorf("read faults = %d, want 1", cp.Stats.Events[EvReadFault])
 	}
 }
 
@@ -154,8 +155,8 @@ func TestReadReplicationCopiesData(t *testing.T) {
 	if len(cp.Copies()) != 2 {
 		t.Errorf("copies = %d, want 2", len(cp.Copies()))
 	}
-	if cp.Stats.Replications != 1 {
-		t.Errorf("replications = %d, want 1", cp.Stats.Replications)
+	if cp.Stats.Events[EvReplication] != 1 {
+		t.Errorf("replications = %d, want 1", cp.Stats.Events[EvReplication])
 	}
 }
 
@@ -170,9 +171,9 @@ func TestReplicatingModifiedPageDowngradesWriter(t *testing.T) {
 		if pe, ok := fx.cm.translation(0, 0); !ok || pe.rights.Allows(Write) {
 			t.Errorf("writer's mapping not restricted: %+v ok=%v", pe, ok)
 		}
-		before := cp.Stats.WriteFaults
+		before := cp.Stats.Events[EvWriteFault]
 		fx.touch(th, 0, 0, true)
-		if cp.Stats.WriteFaults != before+1 {
+		if cp.Stats.Events[EvWriteFault] != before+1 {
 			t.Errorf("write after downgrade did not fault")
 		}
 	})
@@ -204,8 +205,8 @@ func TestWriteMigrationMovesPageAndData(t *testing.T) {
 	if cp.State() != Modified {
 		t.Errorf("state = %v, want modified", cp.State())
 	}
-	if cp.Stats.Migrations != 1 {
-		t.Errorf("migrations = %d, want 1", cp.Stats.Migrations)
+	if cp.Stats.Events[EvMigration] != 1 {
+		t.Errorf("migrations = %d, want 1", cp.Stats.Events[EvMigration])
 	}
 }
 
@@ -225,8 +226,8 @@ func TestLocalWriteUpgradeNeedsNoShootdown(t *testing.T) {
 	if cp.State() != Modified {
 		t.Errorf("state = %v, want modified", cp.State())
 	}
-	if cp.Stats.Invalidations != 0 {
-		t.Errorf("invalidations = %d, want 0", cp.Stats.Invalidations)
+	if cp.Stats.Events[EvInvalidation] != 0 {
+		t.Errorf("invalidations = %d, want 0", cp.Stats.Events[EvInvalidation])
 	}
 }
 
@@ -258,7 +259,7 @@ func TestWriteOnPresentPlusReclaimsRemoteCopies(t *testing.T) {
 	if cp.State() != Modified {
 		t.Errorf("state = %v, want modified", cp.State())
 	}
-	if cp.Stats.Invalidations == 0 {
+	if cp.Stats.Events[EvInvalidation] == 0 {
 		t.Error("no invalidation recorded")
 	}
 }
@@ -297,10 +298,10 @@ func TestFreezeOnRecentInvalidation(t *testing.T) {
 	if !cp.Frozen() {
 		t.Error("page not frozen despite recent invalidation")
 	}
-	if cp.Stats.Migrations != 1 {
-		t.Errorf("migrations = %d, want 1 (second write must not migrate)", cp.Stats.Migrations)
+	if cp.Stats.Events[EvMigration] != 1 {
+		t.Errorf("migrations = %d, want 1 (second write must not migrate)", cp.Stats.Events[EvMigration])
 	}
-	if cp.Stats.RemoteMaps == 0 {
+	if cp.Stats.Events[EvRemoteMap] == 0 {
 		t.Error("no remote mapping recorded")
 	}
 	if len(cp.Copies()) != 1 {
@@ -328,10 +329,15 @@ func TestFrozenPageStaysFrozenAcrossFaults(t *testing.T) {
 	}
 }
 
+// TestThawOnFaultVariant also checks that the thaw a fault performs
+// reaches all three views of the protocol events: the page's Stats, the
+// trace and the count series (it used to reach only Stats).
 func TestThawOnFaultVariant(t *testing.T) {
 	fx := newFixture(t, func(_ *mach.Config, cc *Config) {
 		cc.Policy = NewPlatinumPolicy(DefaultT1, true)
 	})
+	fx.s.EnableTrace(100)
+	fx.s.Spans().EnableCountSeries(sim.Millisecond, 0)
 	cp := fx.mapPage(0, Read|Write)
 	fx.run(func(th *sim.Thread) {
 		fx.touch(th, 0, 0, true)
@@ -351,8 +357,17 @@ func TestThawOnFaultVariant(t *testing.T) {
 	if cp.Frozen() {
 		t.Error("page still frozen after thaw-on-fault migration")
 	}
-	if cp.Stats.Thaws != 1 {
-		t.Errorf("thaws = %d, want 1", cp.Stats.Thaws)
+	events, _ := fx.s.Trace()
+	traced := 0
+	for _, ev := range events {
+		if ev.Kind == EvThaw {
+			traced++
+		}
+	}
+	series := fx.s.Spans().CountSeries().Total(span.CountThaw)
+	if cp.Stats.Events[EvThaw] != 1 || traced != 1 || series != 1 {
+		t.Errorf("thaws: stats %d, trace %d, series %d; want 1 each",
+			cp.Stats.Events[EvThaw], traced, series)
 	}
 }
 
@@ -382,8 +397,8 @@ func TestDefrostSweepThaws(t *testing.T) {
 			t.Errorf("post-thaw write mapped module %d, want 3", c.Module)
 		}
 	})
-	if cp.Stats.Thaws != 1 {
-		t.Errorf("thaws = %d, want 1", cp.Stats.Thaws)
+	if cp.Stats.Events[EvThaw] != 1 {
+		t.Errorf("thaws = %d, want 1", cp.Stats.Events[EvThaw])
 	}
 }
 
@@ -396,10 +411,10 @@ func TestDefrostDoesNotCountAsInterference(t *testing.T) {
 		fx.touch(th, 1, 0, true)
 		th.Advance(sim.Millisecond)
 		fx.touch(th, 2, 0, true) // freezes
-		inv := cp.Stats.Invalidations
+		inv := cp.Stats.Events[EvInvalidation]
 		th.Advance(quiet)
 		fx.s.DefrostSweep(th, 0)
-		if cp.Stats.Invalidations != inv {
+		if cp.Stats.Events[EvInvalidation] != inv {
 			t.Error("defrost sweep recorded invalidation history")
 		}
 	})
@@ -416,9 +431,9 @@ func TestFrozenPageGrantsFullRightsOnReadFault(t *testing.T) {
 		fx.touch(th, 1, 0, true)
 		th.Advance(sim.Millisecond)
 		fx.touch(th, 2, 0, false) // read fault on frozen page
-		wf := cp.Stats.WriteFaults
+		wf := cp.Stats.Events[EvWriteFault]
 		fx.touch(th, 2, 0, true) // must not fault
-		if cp.Stats.WriteFaults != wf {
+		if cp.Stats.Events[EvWriteFault] != wf {
 			t.Error("write after frozen read fault re-faulted")
 		}
 	})
@@ -461,7 +476,7 @@ func TestNeverCachePolicyLeavesDataInPlace(t *testing.T) {
 			t.Errorf("never-cache replicated: module %d", c.Module)
 		}
 	})
-	if cp.Stats.Replications+cp.Stats.Migrations != 0 {
+	if cp.Stats.Events[EvReplication]+cp.Stats.Events[EvMigration] != 0 {
 		t.Error("never-cache moved data")
 	}
 	if cp.Frozen() {
@@ -477,8 +492,8 @@ func TestAlwaysCachePolicyIgnoresInterference(t *testing.T) {
 		fx.touch(th, 1, 0, true) // immediate migration despite interference
 		fx.touch(th, 0, 0, true)
 	})
-	if cp.Stats.Migrations != 2 {
-		t.Errorf("migrations = %d, want 2", cp.Stats.Migrations)
+	if cp.Stats.Events[EvMigration] != 2 {
+		t.Errorf("migrations = %d, want 2", cp.Stats.Events[EvMigration])
 	}
 	if cp.Frozen() {
 		t.Error("always-cache froze the page")
@@ -500,8 +515,8 @@ func TestMigrateOncePolicyFreezesWrittenPages(t *testing.T) {
 			t.Errorf("migrate-once moved again: module %d", c.Module)
 		}
 	})
-	if cp.Stats.Migrations != 1 {
-		t.Errorf("migrations = %d, want 1", cp.Stats.Migrations)
+	if cp.Stats.Events[EvMigration] != 1 {
+		t.Errorf("migrations = %d, want 1", cp.Stats.Events[EvMigration])
 	}
 	if !cp.Frozen() {
 		t.Error("page not frozen after exceeding the migrate limit")

@@ -5,7 +5,6 @@ import (
 
 	"platinum/internal/procset"
 	"platinum/internal/sim"
-	"platinum/internal/span"
 )
 
 // State is a coherent page's protocol state (Fig. 4 of the paper).
@@ -25,18 +24,14 @@ const (
 	Modified
 )
 
-// String returns the protocol-state name used in reports ("present+"
-// for PresentMany, matching the paper's notation).
+// stateNames holds the protocol-state names used in reports
+// ("present+" for PresentPlus, matching the paper's notation).
+var stateNames = [...]string{Empty: "empty", Present1: "present1", PresentPlus: "present+", Modified: "modified"}
+
+// String returns the state's name from stateNames.
 func (st State) String() string {
-	switch st {
-	case Empty:
-		return "empty"
-	case Present1:
-		return "present1"
-	case PresentPlus:
-		return "present+"
-	case Modified:
-		return "modified"
+	if int(st) < len(stateNames) {
+		return stateNames[st]
 	}
 	return fmt.Sprintf("State(%d)", uint8(st))
 }
@@ -47,20 +42,15 @@ type Copy struct {
 	Frame  int // frame index within the module
 }
 
-// CpageStats is the paper's per-Cpage instrumentation (§4.2): fault
-// counts, a contention measure for the fault handler, and protocol
-// event counts.
+// CpageStats is the paper's per-Cpage instrumentation (§4.2): protocol
+// event counts and a contention measure for the fault handler.
 type CpageStats struct {
-	ReadFaults    int64
-	WriteFaults   int64
-	Replications  int64    // copies created
-	Migrations    int64    // copy moved on write miss
-	Invalidations int64    // protocol invalidation/restriction events
-	RemoteMaps    int64    // faults resolved with a remote mapping
-	Freezes       int64    // times the policy froze the page
-	Thaws         int64    // times the defrost daemon thawed it
-	AllocFails    int64    // frame allocations that failed (pool empty or injected)
-	HandlerWait   sim.Time // time faults spent queued on the handler lock
+	// Events counts the page's protocol events, indexed by EventKind.
+	// System.note is its only writer.
+	Events [evKindCount]int64
+
+	AllocFails  int64    // frame allocations that failed (pool empty or injected)
+	HandlerWait sim.Time // time faults spent queued on the handler lock
 
 	// FaultTime is the total virtual time faults on this page took to
 	// resolve (entry to map install, including lock queueing, shootdown
@@ -71,7 +61,7 @@ type CpageStats struct {
 }
 
 // Faults returns the total coherent fault count.
-func (st *CpageStats) Faults() int64 { return st.ReadFaults + st.WriteFaults }
+func (st *CpageStats) Faults() int64 { return st.Events[EvReadFault] + st.Events[EvWriteFault] }
 
 // Cpage is one coherent page: the unit of replication, migration and
 // coherency. Each entry holds the directory of physical copies, the
@@ -261,11 +251,7 @@ func (s *System) freeze(cp *Cpage, now sim.Time) {
 	}
 	cp.frozen = true
 	cp.frozenAt = now
-	cp.Stats.Freezes++
-	s.trace(now, EvFreeze, -1, cp)
-	// Freezes record no span of their own (the decision is a flag flip
-	// inside the fault), so the count series hears about them directly.
-	s.rec.CountEvent(now, span.CountFreeze)
+	s.note(now, EvFreeze, -1, cp)
 	if !cp.enlisted {
 		cp.enlisted = true
 		s.frozen = append(s.frozen, cp)

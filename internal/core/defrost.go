@@ -23,44 +23,7 @@ func (s *System) DefrostSweep(t *sim.Thread, proc int) int {
 	if len(s.frozen) == 0 {
 		return 0
 	}
-	now := t.Now()
-	sweepID := s.rec.Alloc()
-	s.spanParent = sweepID
-	s.spanTrack = t.ID()
-	var delay sim.Time
-	thawed := 0
-	// Detach the list but keep its backing array: nothing re-enlists
-	// during the sweep, so truncating in place is safe and the array is
-	// reused by the next freeze.
-	list := s.frozen
-	s.frozen = s.frozen[:0]
-	for _, cp := range list {
-		cp.enlisted = false
-		if !cp.frozen {
-			continue // already thawed by a fault (thaw-on-fault policy)
-		}
-		s.roundBegin()
-		d, _ := s.shootdownCpage(cp, proc, now, false, false, affectAll)
-		s.spanThaw(cp, proc, now+delay, d)
-		delay += d
-		cp.frozen = false
-		cp.writers.Clear()
-		if len(cp.copies) == 1 {
-			cp.state = Present1
-		}
-		cp.Stats.Thaws++
-		s.trace(now, EvThaw, proc, cp)
-		thawed++
-	}
-	ack := s.drainInjAck()
-	s.rec.Record(span.Span{ID: sweepID, Kind: span.KindDefrostSweep, Start: now, End: now + delay,
-		Proc: proc, Track: t.ID(), Page: -1, NoteFmt: "thawed %d", NoteArg0: thawed, NoteN: 1})
-	s.spanFlush()
-	if delay > 0 {
-		t.Attribute(sim.CauseSlowAck, ack)
-		t.Attribute(sim.CauseShootdown, delay-ack)
-		t.Advance(delay)
-	}
+	thawed, _ := s.DefrostDue(t, proc, 0)
 	return thawed
 }
 
@@ -100,15 +63,16 @@ func (s *System) DefrostDue(t *sim.Thread, proc int, minAge sim.Time) (thawed in
 		cp.enlisted = false
 		s.roundBegin()
 		d, _ := s.shootdownCpage(cp, proc, now, false, false, affectAll)
+		// Each thaw is stamped where it lands on the sweep's serialized
+		// timeline: the start of its own span.
 		s.spanThaw(cp, proc, now+delay, d)
+		s.note(now+delay, EvThaw, proc, cp)
 		delay += d
 		cp.frozen = false
 		cp.writers.Clear()
 		if len(cp.copies) == 1 {
 			cp.state = Present1
 		}
-		cp.Stats.Thaws++
-		s.trace(now, EvThaw, proc, cp)
 		thawed++
 	}
 	ack := s.drainInjAck()

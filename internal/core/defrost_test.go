@@ -94,8 +94,8 @@ func TestPeriodicAndAdaptiveDefrostAgree(t *testing.T) {
 		if cp.Frozen() {
 			t.Errorf("adaptive=%v: page still frozen", adaptive)
 		}
-		if cp.Stats.Thaws != 1 {
-			t.Errorf("adaptive=%v: thaws = %d, want 1", adaptive, cp.Stats.Thaws)
+		if cp.Stats.Events[EvThaw] != 1 {
+			t.Errorf("adaptive=%v: thaws = %d, want 1", adaptive, cp.Stats.Events[EvThaw])
 		}
 	}
 }

@@ -107,9 +107,9 @@ func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	}
 	cp := e.cp
 	now := t.Now()
-	note := "read-fault"
+	kind := EvReadFault
 	if write {
-		note = "write-fault"
+		kind = EvWriteFault
 	}
 	// Open the fault's span tree: children buffer in s.pending until the
 	// handler commits (spanFlush) or fails (spanAbort).
@@ -145,20 +145,17 @@ func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	var c Copy
 	var err error
 	var lockEnd sim.Time
+	s.note(now, kind, proc, cp)
 	if write {
-		cp.Stats.WriteFaults++
 		cp.everWritten = true
-		s.trace(now, EvWriteFault, proc, cp)
 		c, cur, err = s.handleWrite(e, cp, proc, now, cur)
 	} else {
-		cp.Stats.ReadFaults++
-		s.trace(now, EvReadFault, proc, cp)
 		c, cur, lockEnd, err = s.handleRead(e, cp, proc, now, cur)
 	}
 	if err != nil {
 		s.spanAbort(now, span.Span{ID: rootID, Kind: span.KindFault,
 			Proc: proc, Track: t.ID(), Page: cp.id, Cause: sim.CauseFault,
-			State: cp.state.String(), DirMask: cp.dirMask.Lo(), Note: note + ": " + err.Error()})
+			State: cp.state.String(), DirMask: cp.dirMask.Lo(), Note: kind.String() + ": " + err.Error()})
 		return Copy{}, err
 	}
 	// The handler releases the Cpage lock before a replication's block
@@ -208,7 +205,7 @@ func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	s.rec.Record(span.Span{ID: rootID, Kind: span.KindFault, Start: now, End: cur,
 		Proc: proc, Track: t.ID(), Page: cp.id, Cause: sim.CauseFault,
 		Self:  total - classified - s.fcSpanned,
-		State: cp.state.String(), DirMask: cp.dirMask.Lo(), Note: note})
+		State: cp.state.String(), DirMask: cp.dirMask.Lo(), Note: kind.String()})
 	s.spanFlush()
 	t.Advance(total)
 	return c, nil
@@ -424,11 +421,10 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 				return Copy{}, cur, 0, err
 			}
 			cp.state = PresentPlus
-			cp.Stats.Replications++
-			s.trace(cur, EvReplication, proc, cp)
+			s.note(cur, EvReplication, proc, cp)
 			if cp.frozen {
 				cp.frozen = false
-				cp.Stats.Thaws++
+				s.note(cur, EvThaw, proc, cp)
 			}
 			cm.installTranslation(proc, e, dst, Read)
 			s.spanMapUpdate(cp, proc, cur)
@@ -457,8 +453,7 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 	if dec.Freeze && len(cp.copies) == 1 {
 		s.freeze(cp, now)
 	}
-	cp.Stats.RemoteMaps++
-	s.trace(cur, EvRemoteMap, proc, cp)
+	s.note(cur, EvRemoteMap, proc, cp)
 	cm.installTranslation(proc, e, src, rights)
 	s.spanMapUpdate(cp, proc, cur)
 	return src, cur + s.cfg.MapInstall, 0, nil
@@ -544,11 +539,10 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 			}
 			cp.state = Modified
 			cp.writers.AssignOne(proc)
-			cp.Stats.Migrations++
-			s.trace(cur, EvMigration, proc, cp)
+			s.note(cur, EvMigration, proc, cp)
 			if cp.frozen {
 				cp.frozen = false
-				cp.Stats.Thaws++
+				s.note(cur, EvThaw, proc, cp)
 			}
 			cm.installTranslation(proc, e, dst, Read|Write)
 			s.spanMapUpdate(cp, proc, cur)
@@ -569,8 +563,7 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 	if dec.Freeze {
 		s.freeze(cp, now)
 	}
-	cp.Stats.RemoteMaps++
-	s.trace(cur, EvRemoteMap, proc, cp)
+	s.note(cur, EvRemoteMap, proc, cp)
 	cm.installTranslation(proc, e, keep, Read|Write)
 	s.spanMapUpdate(cp, proc, cur)
 	return keep, cur + s.cfg.MapInstall, nil

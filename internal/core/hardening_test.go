@@ -137,7 +137,7 @@ func TestFrameExhaustionFallsBackToRemote(t *testing.T) {
 		if c.Module != 0 {
 			t.Errorf("fallback mapped module %d, want remote copy on 0", c.Module)
 		}
-		if cp0.Stats.RemoteMaps == 0 {
+		if cp0.Stats.Events[EvRemoteMap] == 0 {
 			t.Error("fallback not recorded as a remote map")
 		}
 		if cp0.Stats.AllocFails == 0 {

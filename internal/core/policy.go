@@ -114,7 +114,7 @@ func (p MigrateOnce) Decide(cp *Cpage, _ sim.Time, _ bool) Decision {
 	if !cp.everWritten {
 		return Decision{Cache: true}
 	}
-	if cp.Stats.Migrations+cp.Stats.Replications < p.Limit {
+	if cp.Stats.Events[EvMigration]+cp.Stats.Events[EvReplication] < p.Limit {
 		return Decision{Cache: true}
 	}
 	return Decision{Freeze: true}

@@ -62,14 +62,14 @@ func (s *System) Report() Report {
 			State:        cp.state,
 			Frozen:       cp.frozen,
 			Copies:       len(cp.copies),
-			ReadFaults:   cp.Stats.ReadFaults,
-			WriteFaults:  cp.Stats.WriteFaults,
-			Replications: cp.Stats.Replications,
-			Migrations:   cp.Stats.Migrations,
-			Invalidated:  cp.Stats.Invalidations,
-			RemoteMaps:   cp.Stats.RemoteMaps,
-			Freezes:      cp.Stats.Freezes,
-			Thaws:        cp.Stats.Thaws,
+			ReadFaults:   cp.Stats.Events[EvReadFault],
+			WriteFaults:  cp.Stats.Events[EvWriteFault],
+			Replications: cp.Stats.Events[EvReplication],
+			Migrations:   cp.Stats.Events[EvMigration],
+			Invalidated:  cp.Stats.Events[EvInvalidation],
+			RemoteMaps:   cp.Stats.Events[EvRemoteMap],
+			Freezes:      cp.Stats.Events[EvFreeze],
+			Thaws:        cp.Stats.Events[EvThaw],
 			AllocFails:   cp.Stats.AllocFails,
 			HandlerWait:  cp.Stats.HandlerWait,
 			FaultTime:    cp.Stats.FaultTime,

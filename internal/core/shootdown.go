@@ -144,8 +144,7 @@ func (s *System) shootdownCpage(cp *Cpage, initiator int, now sim.Time,
 	if changed && recordInval {
 		cp.lastInval = now
 		cp.everInval = true
-		cp.Stats.Invalidations++
-		s.trace(now, EvInvalidation, initiator, cp)
+		s.note(now, EvInvalidation, initiator, cp)
 	}
 	return delay, interrupted
 }

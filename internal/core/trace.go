@@ -1,6 +1,9 @@
 package core
 
-import "platinum/internal/sim"
+import (
+	"platinum/internal/sim"
+	"platinum/internal/span"
+)
 
 // Event tracing: the §9 "instrumentation interface to the kernel to
 // help interpret its behavior". When enabled, the coherent memory
@@ -9,24 +12,43 @@ import "platinum/internal/sim"
 // (the aggregate counters in Report answer "how much"; the trace
 // answers "when").
 
-// EventKind classifies a trace event.
+// EventKind classifies a protocol event. It also indexes the per-page
+// counters in CpageStats.Events.
 type EventKind uint8
 
-// Trace event kinds.
+// Protocol event kinds.
 const (
-	EvReadFault EventKind = iota
-	EvWriteFault
-	EvReplication
-	EvMigration
-	EvInvalidation
-	EvRemoteMap
-	EvFreeze
-	EvThaw
+	EvReadFault    EventKind = iota // a read fault
+	EvWriteFault                    // a write fault
+	EvReplication                   // a copy created on a read miss
+	EvMigration                     // the copy moved on a write miss
+	EvInvalidation                  // a shootdown recorded as invalidation history
+	EvRemoteMap                     // a fault resolved with a remote mapping
+	EvFreeze                        // the policy froze the page
+	EvThaw                          // the defrost daemon or a thaw-on-fault policy thawed it
 
-	// evKindCount counts the kinds above; adding a kind without naming
-	// it in String trips the exhaustiveness test.
+	// evKindCount counts the kinds above; adding a kind without a row
+	// in eventKinds trips the exhaustiveness test.
 	evKindCount
 )
+
+// eventKinds is the one table of protocol event kinds: each row holds
+// the kind's hyphenated name, used in trace listings and the timeline
+// JSONL export (e.g. "read-fault"), and the span count-series column
+// note feeds for it, or -1 when it has none.
+var eventKinds = [evKindCount]struct {
+	name string
+	col  int
+}{
+	EvReadFault:    {"read-fault", span.CountFault},
+	EvWriteFault:   {"write-fault", span.CountFault},
+	EvReplication:  {"replication", -1},
+	EvMigration:    {"migration", -1},
+	EvInvalidation: {"invalidation", -1},
+	EvRemoteMap:    {"remote-map", -1},
+	EvFreeze:       {"freeze", span.CountFreeze},
+	EvThaw:         {"thaw", span.CountThaw},
+}
 
 // EventKinds returns every event kind, in declaration order, for code
 // that iterates over all kinds (summaries, exhaustiveness tests)
@@ -39,26 +61,10 @@ func EventKinds() []EventKind {
 	return kinds
 }
 
-// String returns the hyphenated event name used in trace listings and
-// the timeline JSONL export (e.g. "read-fault").
+// String returns the kind's name from the event table.
 func (k EventKind) String() string {
-	switch k {
-	case EvReadFault:
-		return "read-fault"
-	case EvWriteFault:
-		return "write-fault"
-	case EvReplication:
-		return "replication"
-	case EvMigration:
-		return "migration"
-	case EvInvalidation:
-		return "invalidation"
-	case EvRemoteMap:
-		return "remote-map"
-	case EvFreeze:
-		return "freeze"
-	case EvThaw:
-		return "thaw"
+	if k < evKindCount && eventKinds[k].name != "" {
+		return eventKinds[k].name
 	}
 	return "event(?)"
 }
@@ -73,8 +79,7 @@ type Event struct {
 
 // tracer buffers events up to a fixed capacity, counting overflow.
 type tracer struct {
-	events  []Event
-	cap     int
+	events  []Event // capacity fixed by EnableTrace
 	dropped int64
 }
 
@@ -86,7 +91,7 @@ func (s *System) EnableTrace(capacity int) {
 		s.tr = nil
 		return
 	}
-	s.tr = &tracer{events: make([]Event, 0, capacity), cap: capacity}
+	s.tr = &tracer{events: make([]Event, 0, capacity)}
 }
 
 // Trace returns the recorded events in order, plus how many were
@@ -98,14 +103,24 @@ func (s *System) Trace() (events []Event, dropped int64) {
 	return s.tr.events, s.tr.dropped
 }
 
-// trace records one event if tracing is enabled.
-func (s *System) trace(at sim.Time, kind EventKind, proc int, cp *Cpage) {
+// note records one protocol event: the one funnel every protocol fact
+// passes through. It counts the event on the page (the §4.2 report),
+// in the count series when the kind has a column there, and in the
+// trace ring when tracing is enabled, so the three views cannot
+// disagree (metrics.CheckEventConservation holds them to it).
+//
+//platinum:hotpath
+func (s *System) note(at sim.Time, kind EventKind, proc int, cp *Cpage) {
+	cp.Stats.Events[kind]++
+	if col := eventKinds[kind].col; col >= 0 {
+		s.rec.CountEvent(at, col)
+	}
 	if s.tr == nil {
 		return
 	}
-	if len(s.tr.events) >= s.tr.cap {
+	if len(s.tr.events) == cap(s.tr.events) {
 		s.tr.dropped++
 		return
 	}
-	s.tr.events = append(s.tr.events, Event{Time: at, Kind: kind, Proc: proc, Cpage: cp.id})
+	s.tr.events = append(s.tr.events, Event{Time: at, Kind: kind, Proc: proc, Cpage: cp.id}) //lint:ignore platinum/hotalloc below the capacity EnableTrace preallocated, so it never grows
 }

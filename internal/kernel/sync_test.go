@@ -172,7 +172,7 @@ func TestContendedLockPageFreezes(t *testing.T) {
 	if !ok {
 		t.Fatal("lock object missing")
 	}
-	if obj.Cpage(0).Stats.Freezes == 0 {
+	if obj.Cpage(0).Stats.Events[core.EvFreeze] == 0 {
 		t.Error("contended lock page never froze")
 	}
 }

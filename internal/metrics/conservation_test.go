@@ -4,8 +4,11 @@ import (
 	"testing"
 
 	"platinum/internal/apps"
+	"platinum/internal/core"
 	"platinum/internal/kernel"
 	"platinum/internal/sim"
+	"platinum/internal/span"
+	"platinum/internal/timeseries"
 	"platinum/internal/uma"
 )
 
@@ -99,4 +102,48 @@ func TestConservationMergeSortUMA(t *testing.T) {
 		t.Fatal("merge sort output unsorted")
 	}
 	checkRun(t, "mergesort-uma", pl.Accounts())
+}
+
+// TestCheckEventConservation checks the three-way event invariant on a
+// synthetic run, and that each kind of disagreement between the report,
+// the trace and the count series is caught.
+func TestCheckEventConservation(t *testing.T) {
+	report := core.Report{Pages: []core.PageReport{
+		{ID: 1, ReadFaults: 2, WriteFaults: 1, Replications: 1, Freezes: 1, Thaws: 1, RemoteMaps: 1},
+		{ID: 2, WriteFaults: 1, Migrations: 1, Invalidated: 1},
+	}}
+	events := []core.Event{
+		{Kind: core.EvReadFault, Cpage: 1}, {Kind: core.EvReplication, Cpage: 1},
+		{Kind: core.EvReadFault, Cpage: 1}, {Kind: core.EvWriteFault, Cpage: 1},
+		{Kind: core.EvRemoteMap, Cpage: 1}, {Kind: core.EvFreeze, Cpage: 1},
+		{Kind: core.EvThaw, Cpage: 1}, {Kind: core.EvWriteFault, Cpage: 2},
+		{Kind: core.EvInvalidation, Cpage: 2}, {Kind: core.EvMigration, Cpage: 2},
+	}
+	series := func(faults, freezes, thaws int64) *timeseries.Series {
+		s := timeseries.New(1000, span.NumCounts, 4)
+		s.Add(0, span.CountFault, faults)
+		s.Add(9000, span.CountFreeze, freezes) // spills: totals still count it
+		s.Add(0, span.CountThaw, thaws)
+		s.Add(0, span.CountShootdown, 5) // span-fed: not an event column
+		return s
+	}
+	if err := CheckEventConservation(report, events, 0, series(4, 1, 1)); err != nil {
+		t.Fatalf("consistent views rejected: %v", err)
+	}
+	extraThaw := report
+	extraThaw.Pages = append([]core.PageReport(nil), report.Pages...)
+	extraThaw.Pages[0].Thaws++
+	for name, err := range map[string]error{
+		"trace drops":         CheckEventConservation(report, events, 1, series(4, 1, 1)),
+		"series off":          CheckEventConservation(report, events, 0, nil),
+		"missing trace event": CheckEventConservation(report, events[1:], 0, series(4, 1, 1)),
+		"report-only thaw":    CheckEventConservation(extraThaw, events, 0, series(4, 1, 1)),
+		"series fault":        CheckEventConservation(report, events, 0, series(3, 1, 1)),
+		"series freeze":       CheckEventConservation(report, events, 0, series(4, 2, 1)),
+		"series thaw":         CheckEventConservation(report, events, 0, series(4, 1, 0)),
+	} {
+		if err == nil {
+			t.Errorf("%s: disagreement not caught", name)
+		}
+	}
 }

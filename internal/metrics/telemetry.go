@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 
+	"platinum/internal/core"
 	"platinum/internal/hist"
 	"platinum/internal/sim"
 	"platinum/internal/span"
@@ -323,6 +324,53 @@ func CheckSeriesConservation(e *sim.Engine, total sim.Account) error {
 		}
 		if got, want := s.Total(int(c)), int64(total[c]); got != want {
 			return fmt.Errorf("metrics: cause %v: series total %d != account %d", c, got, want)
+		}
+	}
+	return nil
+}
+
+// CheckEventConservation verifies that the three views of the protocol
+// events core.System.note feeds agree. Per event kind, the trace's count
+// must equal the report's sum over pages; the count series' exact totals
+// (spill included) must equal the report's faults (read plus write),
+// freezes and thaws. A dropped trace or a disabled series is an error.
+func CheckEventConservation(r core.Report, events []core.Event, dropped int64, counts *timeseries.Series) error {
+	if dropped != 0 {
+		return fmt.Errorf("metrics: trace dropped %d events; event conservation unverifiable", dropped)
+	}
+	if counts == nil {
+		return fmt.Errorf("metrics: count series not enabled")
+	}
+	traced := map[core.EventKind]int64{}
+	for _, ev := range events {
+		traced[ev.Kind]++
+	}
+	reported := map[core.EventKind]int64{}
+	for _, pg := range r.Pages {
+		for k, n := range map[core.EventKind]int64{
+			core.EvReadFault: pg.ReadFaults, core.EvWriteFault: pg.WriteFaults,
+			core.EvReplication: pg.Replications, core.EvMigration: pg.Migrations,
+			core.EvInvalidation: pg.Invalidated, core.EvRemoteMap: pg.RemoteMaps,
+			core.EvFreeze: pg.Freezes, core.EvThaw: pg.Thaws,
+		} {
+			reported[k] += n
+		}
+	}
+	for _, k := range core.EventKinds() {
+		if traced[k] != reported[k] {
+			return fmt.Errorf("metrics: %v: trace has %d events, report %d", k, traced[k], reported[k])
+		}
+	}
+	for _, c := range []struct {
+		col  int
+		want int64
+	}{
+		{span.CountFault, reported[core.EvReadFault] + reported[core.EvWriteFault]},
+		{span.CountFreeze, reported[core.EvFreeze]},
+		{span.CountThaw, reported[core.EvThaw]},
+	} {
+		if got := counts.Total(c.col); got != c.want {
+			return fmt.Errorf("metrics: %s: series total %d != report %d", span.CountName(c.col), got, c.want)
 		}
 	}
 	return nil

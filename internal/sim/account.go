@@ -111,40 +111,30 @@ const (
 	NumCauses
 )
 
-// String returns the cause's stable snake_case name, used as the JSON
-// field suffix in the metrics schemas.
+// causeNames holds each cause's stable snake_case name, used as the
+// JSON field suffix in the metrics schemas.
+var causeNames = [NumCauses]string{
+	CauseUnattributed:  "unattributed",
+	CauseCompute:       "compute",
+	CauseLocalAccess:   "local_access",
+	CauseRemoteAccess:  "remote_access",
+	CauseBlockTransfer: "block_transfer",
+	CauseFault:         "fault",
+	CauseShootdown:     "shootdown",
+	CauseQueue:         "queue",
+	CauseSync:          "sync",
+	CauseKernel:        "kernel",
+	CauseRetry:         "retry",
+	CauseSlowAck:       "slow_ack",
+	CausePmapWalk:      "pmap_walk",
+	CausePTReplicate:   "pt_replicate",
+	CauseBatchFlush:    "batch_flush",
+}
+
+// String returns the cause's name from causeNames.
 func (c Cause) String() string {
-	switch c {
-	case CauseUnattributed:
-		return "unattributed"
-	case CauseCompute:
-		return "compute"
-	case CauseLocalAccess:
-		return "local_access"
-	case CauseRemoteAccess:
-		return "remote_access"
-	case CauseBlockTransfer:
-		return "block_transfer"
-	case CauseFault:
-		return "fault"
-	case CauseShootdown:
-		return "shootdown"
-	case CauseQueue:
-		return "queue"
-	case CauseSync:
-		return "sync"
-	case CauseKernel:
-		return "kernel"
-	case CauseRetry:
-		return "retry"
-	case CauseSlowAck:
-		return "slow_ack"
-	case CausePmapWalk:
-		return "pmap_walk"
-	case CausePTReplicate:
-		return "pt_replicate"
-	case CauseBatchFlush:
-		return "batch_flush"
+	if c < NumCauses && causeNames[c] != "" {
+		return causeNames[c]
 	}
 	return "cause(?)"
 }

@@ -129,54 +129,37 @@ const (
 	numKinds // sentinel: count of span kinds
 )
 
-// String returns the kind's stable hyphenated name, used as the event
+// kindNames holds each kind's stable hyphenated name, used as the event
 // name in Chrome trace exports and flight-recorder dumps.
+var kindNames = [numKinds]string{
+	KindFault:         "fault",
+	KindDirLookup:     "dir-lookup",
+	KindQueueWait:     "queue-wait",
+	KindIPTLookup:     "ipt-lookup",
+	KindFrameAlloc:    "frame-alloc",
+	KindFrameFree:     "frame-free",
+	KindShootdown:     "shootdown",
+	KindShootTarget:   "shoot-target",
+	KindAck:           "ack",
+	KindBlockTransfer: "block-transfer",
+	KindStall:         "stall",
+	KindMapUpdate:     "map-update",
+	KindIRQPenalty:    "irq-penalty",
+	KindATCReload:     "atc-reload",
+	KindMsgApply:      "msg-apply",
+	KindRetry:         "retry",
+	KindDefrostSweep:  "defrost-sweep",
+	KindThaw:          "thaw",
+	KindSlice:         "slice",
+	KindPmapWalk:      "pmap-walk",
+	KindPTReplicate:   "pt-replicate",
+	KindBatchFlush:    "batch-flush",
+}
+
+// String returns the kind's name from kindNames.
 func (k Kind) String() string {
-	switch k {
-	case KindFault:
-		return "fault"
-	case KindDirLookup:
-		return "dir-lookup"
-	case KindQueueWait:
-		return "queue-wait"
-	case KindIPTLookup:
-		return "ipt-lookup"
-	case KindFrameAlloc:
-		return "frame-alloc"
-	case KindFrameFree:
-		return "frame-free"
-	case KindShootdown:
-		return "shootdown"
-	case KindShootTarget:
-		return "shoot-target"
-	case KindAck:
-		return "ack"
-	case KindBlockTransfer:
-		return "block-transfer"
-	case KindStall:
-		return "stall"
-	case KindMapUpdate:
-		return "map-update"
-	case KindIRQPenalty:
-		return "irq-penalty"
-	case KindATCReload:
-		return "atc-reload"
-	case KindMsgApply:
-		return "msg-apply"
-	case KindRetry:
-		return "retry"
-	case KindDefrostSweep:
-		return "defrost-sweep"
-	case KindThaw:
-		return "thaw"
-	case KindSlice:
-		return "slice"
-	case KindPmapWalk:
-		return "pmap-walk"
-	case KindPTReplicate:
-		return "pt-replicate"
-	case KindBatchFlush:
-		return "batch-flush"
+	if k < numKinds && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return "span(?)"
 }

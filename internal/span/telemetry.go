@@ -11,10 +11,11 @@ import (
 // kind, a latency histogram of *whole operations* — a full fault from
 // handler entry to completion, a complete shootdown round, a block
 // transfer — and a windowed count series of operation starts over
-// simulated time. Both are fed from Record, the single funnel every
-// completed span passes through, so they are exactly as complete as the
-// flight ring's total count: histogram Count sums equal the number of
-// recorded spans of each instrumented kind.
+// simulated time. The histograms and the span-fed count columns are fed
+// from Record, the single funnel every completed span passes through,
+// so they are exactly as complete as the flight ring's total count:
+// histogram Count sums equal the number of recorded spans of each
+// instrumented kind.
 //
 // Like retention, telemetry is pure bookkeeping on the recording
 // thread — no allocation on the record path once enabled, no clock
@@ -44,9 +45,10 @@ var HistogramCauses = []sim.Cause{
 }
 
 // Count-series columns: one per operation rate the windowed series
-// tracks. Fault, shootdown and block-transfer starts come from Record;
-// freeze decisions have no span of their own, so the fault path reports
-// them through CountEvent; thaws count their KindThaw span.
+// tracks. Shootdown and block-transfer starts come from Record. Faults
+// (read plus write), freezes and thaws are protocol events: the core's
+// event funnel (core.System.note) counts them through CountEvent, from
+// the same call that feeds the per-page report and the trace ring.
 const (
 	CountFault = iota
 	CountShootdown
@@ -57,20 +59,20 @@ const (
 	NumCounts // sentinel: count of series columns
 )
 
-// CountName returns the stable snake_case name of a count-series
-// column, used as the JSON field name in the metrics schema.
+// countNames holds each count-series column's stable snake_case name,
+// used as the JSON field name in the metrics schema.
+var countNames = [NumCounts]string{
+	CountFault:         "faults",
+	CountShootdown:     "shootdowns",
+	CountBlockTransfer: "block_transfers",
+	CountFreeze:        "freezes",
+	CountThaw:          "thaws",
+}
+
+// CountName returns the name of a count-series column.
 func CountName(col int) string {
-	switch col {
-	case CountFault:
-		return "faults"
-	case CountShootdown:
-		return "shootdowns"
-	case CountBlockTransfer:
-		return "block_transfers"
-	case CountFreeze:
-		return "freezes"
-	case CountThaw:
-		return "thaws"
+	if col >= 0 && col < NumCounts {
+		return countNames[col]
 	}
 	return "count(?)"
 }
@@ -90,10 +92,8 @@ func init() {
 	for _, k := range HistogramKinds {
 		histKind[k] = true
 	}
-	countCol[KindFault] = CountFault
 	countCol[KindShootdown] = CountShootdown
 	countCol[KindBlockTransfer] = CountBlockTransfer
-	countCol[KindThaw] = CountThaw
 }
 
 // EnableOpHists starts recording one whole-operation latency histogram
@@ -144,9 +144,9 @@ func (r *Recorder) CountSeries() *timeseries.Series {
 }
 
 // CountEvent counts one occurrence of a series column at virtual time
-// at, for events that record no span of their own (a freeze decision on
-// the fault path). Nil-safe and a no-op when the count series is off,
-// so callers need no guard.
+// at, for the protocol-event columns (faults, freezes, thaws) the core's
+// event funnel feeds. Nil-safe and a no-op when the count series is
+// off, so callers need no guard.
 //
 //platinum:hotpath
 func (r *Recorder) CountEvent(at sim.Time, col int) {

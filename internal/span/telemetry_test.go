@@ -32,33 +32,41 @@ func TestOpHistRecordsCompositeKinds(t *testing.T) {
 }
 
 // TestCountSeriesColumns verifies operation starts land in the right
-// column and window, including freezes via CountEvent.
+// column and window: shootdowns and block transfers from their spans,
+// faults, freezes and thaws only via CountEvent (their spans count
+// nothing, so the core's event funnel is the one source).
 func TestCountSeriesColumns(t *testing.T) {
 	r := NewRecorder(0)
 	r.EnableCountSeries(1000, 16)
-	r.Record(Span{Kind: KindFault, Start: 100, End: 350})
+	r.Record(Span{Kind: KindShootdown, Start: 100, End: 350})
+	r.Record(Span{Kind: KindBlockTransfer, Start: 1500, End: 1600})
 	r.Record(Span{Kind: KindFault, Start: 1500, End: 1600})
 	r.Record(Span{Kind: KindThaw, Start: 2100, End: 2200})
 	r.CountEvent(150, CountFreeze)
+	r.CountEvent(1200, CountFault)
+	r.CountEvent(2100, CountThaw)
 
 	s := r.CountSeries()
 	if s == nil {
 		t.Fatal("CountSeries nil with series enabled")
 	}
-	if got := s.At(0, CountFault); got != 1 {
-		t.Errorf("window 0 faults = %d, want 1", got)
+	if got := s.At(0, CountShootdown); got != 1 {
+		t.Errorf("window 0 shootdowns = %d, want 1", got)
+	}
+	if got := s.At(1, CountBlockTransfer); got != 1 {
+		t.Errorf("window 1 block transfers = %d, want 1", got)
 	}
 	if got := s.At(1, CountFault); got != 1 {
-		t.Errorf("window 1 faults = %d, want 1", got)
+		t.Errorf("window 1 faults = %d, want 1 (the KindFault span must not count)", got)
 	}
 	if got := s.At(2, CountThaw); got != 1 {
-		t.Errorf("window 2 thaws = %d, want 1", got)
+		t.Errorf("window 2 thaws = %d, want 1 (the KindThaw span must not count)", got)
 	}
 	if got := s.At(0, CountFreeze); got != 1 {
 		t.Errorf("window 0 freezes = %d, want 1", got)
 	}
-	if got := s.Total(CountFault); got != 2 {
-		t.Errorf("fault total = %d, want 2", got)
+	if got := s.Total(CountFault); got != 1 {
+		t.Errorf("fault total = %d, want 1", got)
 	}
 }
 

@@ -84,11 +84,20 @@ func buildWorld(cfg Config) (*world, error) {
 	return w, nil
 }
 
+// eventsPerOp sizes the trace for the end-of-run event check: clean
+// schedules record about 1.3 protocol events per op (faults and their
+// replications, migrations, invalidations, remote maps, freezes and
+// thaws), so 8 per op leaves ample headroom. A drop fails the check
+// rather than weakening it.
+const eventsPerOp = 8
+
 // Replay executes ops against a freshly built world, checking the
 // protocol invariants, attribution conservation, and data coherence
-// after every op. The first violation stops the run and is reported in
-// Result.Failure; ErrNoMemory under total frame exhaustion is a legal
-// outcome, counted but not a failure.
+// after every op, and at the end frame accounting and event
+// conservation (report, trace and count series agree). The first
+// violation stops the run and is reported in Result.Failure;
+// ErrNoMemory under total frame exhaustion is a legal outcome, counted
+// but not a failure.
 func Replay(cfg Config, ops []Op) *Result {
 	res := &Result{}
 	w, err := buildWorld(cfg)
@@ -96,6 +105,8 @@ func Replay(cfg Config, ops []Op) *Result {
 		res.Failure = &Failure{Seed: cfg.Seed, OpIndex: -1, Err: err, Ops: ops}
 		return res
 	}
+	w.k.EnableTrace(eventsPerOp * (len(ops) + 1))
+	w.k.Spans().EnableCountSeries(sim.Millisecond, 0)
 	e := w.k.Engine()
 	opIdx := -1
 	e.Spawn("stress-driver", func(th *sim.Thread) {
@@ -123,7 +134,12 @@ func Replay(cfg Config, ops []Op) *Result {
 	res.Elapsed = w.k.Now()
 	w.collect(res)
 	if res.Failure == nil {
-		if err := w.checkFrames(); err != nil {
+		err := w.checkFrames()
+		if err == nil {
+			events, dropped := w.k.Trace()
+			err = metrics.CheckEventConservation(w.k.Report(), events, dropped, w.k.Spans().CountSeries())
+		}
+		if err != nil {
 			res.Failure = &Failure{Seed: cfg.Seed, OpIndex: len(ops) - 1, Err: err, Ops: ops,
 				Flight: w.k.Spans().Flight()}
 		}
@@ -264,14 +280,14 @@ func (w *world) collect(res *Result) {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "t=%d\n", int64(res.Elapsed))
 	for _, cp := range w.sys.Cpages() {
-		st := cp.Stats
+		st, ev := cp.Stats, cp.Stats.Events
 		res.Faults += st.Faults()
-		res.Freezes += st.Freezes
-		res.Thaws += st.Thaws
+		res.Freezes += ev[core.EvFreeze]
+		res.Thaws += ev[core.EvThaw]
 		fmt.Fprintf(h, "cp%d %v n=%d rf=%d wf=%d rep=%d mig=%d inv=%d rm=%d fz=%d th=%d af=%d hw=%d ft=%d\n",
-			cp.ID(), cp.State(), len(cp.Copies()), st.ReadFaults, st.WriteFaults,
-			st.Replications, st.Migrations, st.Invalidations, st.RemoteMaps,
-			st.Freezes, st.Thaws, st.AllocFails, int64(st.HandlerWait), int64(st.FaultTime))
+			cp.ID(), cp.State(), len(cp.Copies()), ev[core.EvReadFault], ev[core.EvWriteFault],
+			ev[core.EvReplication], ev[core.EvMigration], ev[core.EvInvalidation], ev[core.EvRemoteMap],
+			ev[core.EvFreeze], ev[core.EvThaw], st.AllocFails, int64(st.HandlerWait), int64(st.FaultTime))
 	}
 	for n, a := range w.k.Engine().NodeAccounts() {
 		fmt.Fprintf(h, "node%d", n)

@@ -8,7 +8,9 @@
 // kernel boot). After every operation the harness checks the
 // protocol's structural invariants (core.Validate), the
 // cost-attribution conservation invariant (metrics.CheckConservation),
-// and data coherence against a shadow copy of every word written.
+// and data coherence against a shadow copy of every word written; at
+// the end of the run it checks that the per-page report, the event
+// trace and the count series agree (metrics.CheckEventConservation).
 //
 // Everything is derived from a single seed, so any failure is exactly
 // reproducible; on failure the harness can shrink the schedule
@@ -54,21 +56,16 @@ const (
 	numOpKinds
 )
 
-// String returns the op kind's short name, used in reproducer listings.
+// opNames holds each op kind's short name, used in reproducer listings.
+var opNames = [numOpKinds]string{
+	OpRead: "read", OpWrite: "write", OpAdvance: "advance",
+	OpDeactivate: "deactivate", OpDefrost: "defrost", OpTeardown: "teardown",
+}
+
+// String returns the op kind's name from opNames.
 func (k OpKind) String() string {
-	switch k {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpAdvance:
-		return "advance"
-	case OpDeactivate:
-		return "deactivate"
-	case OpDefrost:
-		return "defrost"
-	case OpTeardown:
-		return "teardown"
+	if k < numOpKinds {
+		return opNames[k]
 	}
 	return fmt.Sprintf("op(%d)", uint8(k))
 }

@@ -5,14 +5,16 @@ package platinum
 // topology, TopoMix on a clustered distance-matrix machine — every
 // telemetry sink must reconcile exactly against the ground truth it
 // shadows. Charge histograms sum to the per-node accounts, op
-// histograms to the retained spans, and the cause series (retained
-// windows plus spill) to the total account. scripts/check-obs.sh runs
-// this file as the observability gate.
+// histograms to the retained spans, the cause series (retained windows
+// plus spill) to the total account, and the per-page report, trace
+// ring and count series to each other. scripts/check-obs.sh runs this
+// file as the observability gate.
 
 import (
 	"testing"
 
 	"platinum/internal/apps"
+	"platinum/internal/core"
 	"platinum/internal/kernel"
 	"platinum/internal/mach"
 	"platinum/internal/metrics"
@@ -20,15 +22,16 @@ import (
 )
 
 // newTelemetryPlatform boots a fresh platform (no pooling — each test
-// owns its kernel) with every telemetry sink and full span retention
-// enabled, so the op-histogram check can compare against a complete
-// span record.
+// owns its kernel) with every telemetry sink, the event trace and full
+// span retention enabled, so the op-histogram and event checks can
+// compare against complete records.
 func newTelemetryPlatform(t *testing.T, cfg kernel.Config) *apps.PlatinumPlatform {
 	t.Helper()
 	pl, err := apps.NewPlatinumPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl.K.EnableTrace(1 << 16)
 	pl.K.EnableSpans(0)
 	pl.K.EnableHistograms()
 	pl.K.EnableSeries(sim.Millisecond, 0)
@@ -52,6 +55,10 @@ func checkAllTelemetry(t *testing.T, pl *apps.PlatinumPlatform) {
 	if err := metrics.CheckSeriesConservation(pl.K.Engine(), pl.K.TotalAccount()); err != nil {
 		t.Errorf("series conservation: %v", err)
 	}
+	events, dropped := pl.K.Trace()
+	if err := metrics.CheckEventConservation(pl.K.Report(), events, dropped, rec.CountSeries()); err != nil {
+		t.Errorf("event conservation: %v", err)
+	}
 }
 
 func TestTelemetryConservationGauss(t *testing.T) {
@@ -63,6 +70,27 @@ func TestTelemetryConservationGauss(t *testing.T) {
 	}
 	if want := apps.GaussReferenceChecksum(cfg); r.Checksum != want {
 		t.Errorf("gauss checksum %#x, want %#x (telemetry must not change results)", r.Checksum, want)
+	}
+	checkAllTelemetry(t, pl)
+}
+
+// TestTelemetryConservationThawOnFault runs gauss under the
+// thaw-on-fault policy with a 2 ms defrost period, so pages thaw both
+// ways: by the defrost daemon and by a fault on a frozen page.
+func TestTelemetryConservationThawOnFault(t *testing.T) {
+	kcfg := kernel.DefaultConfig()
+	kcfg.Core.Policy = core.NewPlatinumPolicy(core.DefaultT1, true)
+	kcfg.Core.DefrostPeriod = 2 * sim.Millisecond
+	pl := newTelemetryPlatform(t, kcfg)
+	if _, err := apps.RunGaussPlatinum(pl, apps.DefaultGaussConfig(64, 8)); err != nil {
+		t.Fatal(err)
+	}
+	var thaws int64
+	for _, pg := range pl.K.Report().Pages {
+		thaws += pg.Thaws
+	}
+	if thaws == 0 {
+		t.Fatal("no page thawed; the run does not exercise the thaw paths")
 	}
 	checkAllTelemetry(t, pl)
 }
