@@ -56,8 +56,8 @@ func TestJSONOutput(t *testing.T) {
 		t.Errorf("JSON suppressed = %d, want 2", got)
 	}
 	// Three bad ignores: the fixture's two malformed directives, plus
-	// the well-formed-but-unused platinum/spanpair directive, which the
-	// full CLI suite (spanpair included) judges stale.
+	// the well-formed-but-unused platinum/noprotocolpanic directive,
+	// which the full CLI suite (noprotocolpanic included) judges stale.
 	if got := len(res.BadIgnores); got != 3 {
 		t.Errorf("JSON bad_ignores = %d, want 3: %+v", got, res.BadIgnores)
 	}

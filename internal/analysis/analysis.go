@@ -3,15 +3,15 @@
 // this reproduction rests on at run time: deterministic dispatch
 // (byte-identical reports across -j1/-j8), exact cost conservation and
 // cause attribution, panic-free protocol paths, exhaustive handling of
-// protocol event kinds, and begin/end-paired causal spans.
+// protocol event kinds, and allocation-free hot paths.
 //
 // The package mirrors the shape of golang.org/x/tools/go/analysis — an
 // Analyzer with a Run function over a Pass carrying the type-checked
 // package — but is built entirely on the standard library (go/parser,
 // go/types and the "source" importer), so it needs no module downloads
 // and runs in a hermetic build. See the analyzer files (nodeterminism,
-// chargecause, exhaustiveevent, spanpair, noprotocolpanic) for what is
-// enforced and why, and cmd/platinum-vet for the multichecker that runs
+// chargecause, exhaustiveevent, noprotocolpanic, hotalloc, histcause,
+// detwalk, hotescape, atomicsafe) for what is enforced and why, and cmd/platinum-vet for the multichecker that runs
 // the suite over the tree.
 //
 // Findings can be suppressed per line with
@@ -186,7 +186,6 @@ func All() []*Analyzer {
 		AnalyzerNoDeterminism,
 		AnalyzerChargeCause,
 		AnalyzerExhaustiveEvent,
-		AnalyzerSpanPair,
 		AnalyzerNoProtocolPanic,
 		AnalyzerHotAlloc,
 		AnalyzerHistCause,

@@ -21,7 +21,7 @@ func unsuppressed(t *sim.Thread, d sim.Time) {
 }
 
 func wrongAnalyzer(t *sim.Thread, d sim.Time) {
-	//lint:ignore platinum/spanpair naming another analyzer silences nothing here
+	//lint:ignore platinum/noprotocolpanic naming another analyzer silences nothing here
 	t.Charge(5, d) // want `Charge called with a raw literal`
 }
 

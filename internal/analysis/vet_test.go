@@ -26,11 +26,6 @@ func TestExhaustiveEvent(t *testing.T) {
 		[]*analysis.Analyzer{analysis.AnalyzerExhaustiveEvent}, "exhaustiveevent")
 }
 
-func TestSpanPair(t *testing.T) {
-	analysistest.Run(t, fixtures,
-		[]*analysis.Analyzer{analysis.AnalyzerSpanPair}, "spanpair")
-}
-
 func TestNoProtocolPanic(t *testing.T) {
 	analysistest.Run(t, fixtures,
 		[]*analysis.Analyzer{analysis.AnalyzerNoProtocolPanic}, "platinum/internal/mach")
@@ -158,7 +153,7 @@ func TestSuppressionClean(t *testing.T) {
 // unique non-empty names, and a doc line for platinum-vet -list.
 func TestRegistry(t *testing.T) {
 	want := []string{
-		"nodeterminism", "chargecause", "exhaustiveevent", "spanpair",
+		"nodeterminism", "chargecause", "exhaustiveevent",
 		"noprotocolpanic", "hotalloc", "histcause",
 		"detwalk", "hotescape", "atomicsafe",
 	}

@@ -219,9 +219,8 @@ func (cm *Cmap) Activate(t *sim.Thread, proc int) {
 		// Applying queued shootdown messages on activation is the lazy
 		// half of the shootdown protocol's cost.
 		now := t.Now()
-		o := cm.sys.rec.Begin(span.KindMsgApply, now).Proc(proc).Track(t.ID()).
-			Attribute(sim.CauseShootdown, cost)
-		o.End(now + cost)
+		cm.sys.rec.Record(span.Span{Kind: span.KindMsgApply, Start: now, End: now + cost,
+			Proc: proc, Track: t.ID(), Page: -1, Cause: sim.CauseShootdown, Self: cost})
 		t.Charge(sim.CauseShootdown, cost)
 	}
 	if cm.sys.batchOn() {

@@ -271,8 +271,8 @@ func (s *System) batchActivate(t *sim.Thread, proc int) {
 	s.ptStats.FlushApplies += int64(n)
 	cost := s.cfg.MsgApply * sim.Time(n)
 	now := t.Now()
-	o := s.rec.Begin(span.KindBatchFlush, now).Proc(proc).Track(t.ID()).
-		Attribute(sim.CauseBatchFlush, cost).Notef("%d coalesced", n)
-	o.End(now + cost)
+	s.rec.Record(span.Span{Kind: span.KindBatchFlush, Start: now, End: now + cost,
+		Proc: proc, Track: t.ID(), Page: -1, Cause: sim.CauseBatchFlush, Self: cost,
+		NoteFmt: "%d coalesced", NoteArg0: n, NoteN: 1})
 	t.Charge(sim.CauseBatchFlush, cost)
 }

@@ -24,11 +24,11 @@ type Thread struct {
 	waiters []*Thread
 	inbox   [][]uint32 // message handoff slot for port receives
 
-	// slice is the open span of the thread's current scheduling slice
-	// (its residence on t.proc); Migrate ends it and begins a new one
-	// on the destination processor, and the spawn wrapper ends the last
-	// one when the body returns.
-	slice *span.Open
+	// sliceStart is when the thread's current scheduling slice (its
+	// residence on t.proc) began; Migrate ends the slice and begins a
+	// new one on the destination processor, and the spawn wrapper ends
+	// the last one when the body returns.
+	sliceStart sim.Time
 }
 
 // Spawn creates a thread named name on processor proc in space sp. The
@@ -59,18 +59,18 @@ func (k *Kernel) Spawn(name string, proc int, sp *Space, body func(*Thread)) *Th
 	return t
 }
 
-// beginSlice opens the thread's scheduling-slice span: its residence on
+// beginSlice starts the thread's scheduling-slice span: its residence on
 // one processor, from spawn or last migration until endSlice. Slices
 // are structural (no attributed cost of their own) — they give the
 // trace one enclosing track interval per processor residency, with the
 // thread's faults, transfers and shootdowns nested inside.
-func (t *Thread) beginSlice() {
-	t.slice = t.k.sys.Spans().Begin(span.KindSlice, t.st.Now()).
-		Proc(t.proc).Track(t.st.ID()).Note(t.st.Name())
-}
+func (t *Thread) beginSlice() { t.sliceStart = t.st.Now() }
 
-// endSlice closes and records the current slice span.
-func (t *Thread) endSlice() { t.slice.End(t.st.Now()) }
+// endSlice records the current slice span.
+func (t *Thread) endSlice() {
+	t.k.sys.Spans().Record(span.Span{Kind: span.KindSlice, Start: t.sliceStart, End: t.st.Now(),
+		Proc: t.proc, Track: t.st.ID(), Page: -1, Note: t.st.Name()})
+}
 
 // Kernel returns the owning kernel.
 func (t *Thread) Kernel() *Kernel { return t.k }

@@ -400,9 +400,9 @@ func (m *Machine) Access(t *sim.Thread, proc, mod, n int, write bool) sim.Time {
 		// Injected transient-busy retry: span it so CauseRetry
 		// reconciles between spans and accounting.
 		at := t.Now() + queue + lat
-		o := m.rec.Begin(span.KindRetry, at).Proc(proc).Track(t.ID()).
-			Attribute(sim.CauseRetry, retry).Notef("module %d busy", mod)
-		o.End(at + retry)
+		m.rec.Record(span.Span{Kind: span.KindRetry, Start: at, End: at + retry,
+			Proc: proc, Track: t.ID(), Page: -1, Cause: sim.CauseRetry, Self: retry,
+			NoteFmt: "module %d busy", NoteArg0: mod, NoteN: 1})
 	}
 	total := queue + lat + retry
 	t.Advance(total)
@@ -504,11 +504,9 @@ func (m *Machine) blockTransferAt(t *sim.Thread, now sim.Time, src, dst, words i
 		t.Attribute(sim.CauseQueue, queue)
 		t.Attribute(sim.CauseBlockTransfer, dur)
 		if m.rec != nil {
-			o := m.rec.Begin(span.KindBlockTransfer, now+queue).
-				Proc(dst).Track(t.ID()).
-				Attribute(sim.CauseBlockTransfer, dur).
-				Notef("stack %d->%d", src, dst)
-			o.End(now + queue + dur)
+			m.rec.Record(span.Span{Kind: span.KindBlockTransfer, Start: now + queue, End: now + queue + dur,
+				Proc: dst, Track: t.ID(), Page: -1, Cause: sim.CauseBlockTransfer, Self: dur,
+				NoteFmt: "stack %d->%d", NoteArg0: src, NoteArg1: dst, NoteN: 2})
 		}
 		t.Advance(total)
 	}
