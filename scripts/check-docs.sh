@@ -7,6 +7,12 @@
 #   3. The README architecture diagram must mention every package that
 #      `go list ./internal/...` reports, so the walkthrough cannot
 #      silently drift from the tree.
+#   4. README documents every analyzer `platinum-vet -list` registers.
+#   5. EXPERIMENTS.md documents every `platinum-bench -list` experiment.
+#   6. TOPOLOGY.md's JSON examples and examples/topologies/*.json load.
+#   7. EXPERIMENTS.md documents every telemetry JSON field.
+#   8. Every `pkg.Symbol` reference to an internal package in the prose
+#      docs resolves with go doc.
 #
 # Run from the repository root: ./scripts/check-docs.sh
 set -eu
