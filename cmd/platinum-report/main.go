@@ -65,6 +65,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "platinum-report: -timeline requires -trace n > 0 and a positive -bucket")
 		return 2
 	}
+	if *series < 0 {
+		fmt.Fprintln(stderr, "platinum-report: -series must be positive, or 0 to disable")
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "platinum-report:", err)
 		return 1

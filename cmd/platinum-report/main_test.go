@@ -234,16 +234,19 @@ func TestHistRejectsAnecdote(t *testing.T) {
 }
 
 // TestTimelineUsageErrors checks that a timeline the run could not
-// write is a usage error (exit 2, a message, no file) instead of a
-// silent success.
+// write, or a negative -series window, is a usage error (exit 2, a
+// message, no file) instead of a silent success.
 func TestTimelineUsageErrors(t *testing.T) {
+	const needTrace = "-timeline requires -trace"
 	for _, tc := range []struct {
 		name string
 		args []string
+		want string
 	}{
-		{"no trace", nil},
-		{"zero bucket", []string{"-trace", "2000", "-bucket", "0"}},
-		{"negative bucket", []string{"-trace", "2000", "-bucket", "-1ms"}},
+		{"no trace", nil, needTrace},
+		{"zero bucket", []string{"-trace", "2000", "-bucket", "0"}, needTrace},
+		{"negative bucket", []string{"-trace", "2000", "-bucket", "-1ms"}, needTrace},
+		{"negative series", []string{"-trace", "2000", "-series", "-1ms"}, "-series must be positive"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tl := filepath.Join(t.TempDir(), "timeline.jsonl")
@@ -252,7 +255,7 @@ func TestTimelineUsageErrors(t *testing.T) {
 			if code := run(args, &out, &errb); code != 2 {
 				t.Errorf("exit code %d, want 2", code)
 			}
-			if !strings.Contains(errb.String(), "-timeline requires -trace") {
+			if !strings.Contains(errb.String(), tc.want) {
 				t.Errorf("stderr %q does not name the problem", errb.String())
 			}
 			if _, err := os.Stat(tl); !os.IsNotExist(err) {

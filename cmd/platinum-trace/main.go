@@ -51,6 +51,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *counters < 0 {
+		fmt.Fprintln(stderr, "platinum-trace: -counters must be positive, or 0 to disable")
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "platinum-trace:", err)
 		return 1

@@ -91,6 +91,21 @@ func TestUnknownAppFails(t *testing.T) {
 	}
 }
 
+// TestNegativeCountersFails checks that a negative -counters window is
+// a usage error rather than silently meaning "off".
+func TestNegativeCountersFails(t *testing.T) {
+	out, errs, code := runCmd(t, "-app", "gauss", "-n", "16", "-procs", "2", "-counters", "-1ms")
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
+	}
+	if !strings.Contains(errs, "-counters must be positive") {
+		t.Errorf("stderr %q does not name the problem", errs)
+	}
+	if out != "" {
+		t.Errorf("wrote a trace despite the usage error:\n%.200s", out)
+	}
+}
+
 // TestCountersGolden pins the counter-track export byte-for-byte: the
 // run is deterministic, so any diff means the simulated timing, the
 // series bucketing, or the export format changed.
