@@ -11,16 +11,19 @@
 // per-page records ranked most-expensive-first. See EXPERIMENTS.md for
 // the field-by-field schema.
 //
-// With -spans the run also records causal spans (internal/span) and
-// writes them as Chrome trace-event JSON, loadable in Perfetto or
-// chrome://tracing; see cmd/platinum-trace for a dedicated exporter.
+// With -spans the run also records causal spans (internal/span), checks
+// that they nest and reconcile exactly with the engine's Account totals
+// (a violation exits 1), and writes them as Chrome trace-event JSON for
+// Perfetto or chrome://tracing — with counter tracks under -series — or,
+// with -text, as an indented text tree. A gauss checksum that differs
+// from the reference, or an unsorted mergesort, also exits 1.
 //
 // Usage:
 //
 //	platinum-report [-app gauss|mergesort|backprop|anecdote] [-procs n]
 //	                [-n size] [-top k] [-json]
 //	                [-trace n] [-timeline file.jsonl] [-bucket d]
-//	                [-spans file.json]
+//	                [-spans file.json [-text]] [-hist] [-series d]
 package main
 
 import (
@@ -35,6 +38,7 @@ import (
 	"platinum/internal/metrics"
 	"platinum/internal/sim"
 	"platinum/internal/span"
+	"platinum/internal/timeseries"
 	trc "platinum/internal/trace"
 )
 
@@ -55,19 +59,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	trace := fs.Int("trace", 0, "record up to this many protocol events and print a summary")
 	timeline := fs.String("timeline", "", "write a per-node timeline as JSON Lines to this file (requires -trace)")
 	bucket := fs.Duration("bucket", time.Millisecond, "timeline bucket width (virtual time)")
-	spans := fs.String("spans", "", "record causal spans and write Chrome trace-event JSON to this file")
+	spans := fs.String("spans", "", "record causal spans, validate them and write Chrome trace-event JSON to this file")
+	text := fs.Bool("text", false, "write the -spans file as an indented text tree instead of Chrome JSON")
 	histOn := fs.Bool("hist", false, "record latency histograms (per-cause charges and whole operations) and print percentile tables")
 	series := fs.Duration("series", 0, "record windowed rate curves over simulated time with this window width (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *timeline != "" && (*trace <= 0 || *bucket <= 0) {
-		fmt.Fprintln(stderr, "platinum-report: -timeline requires -trace n > 0 and a positive -bucket")
-		return 2
-	}
-	if *series < 0 {
-		fmt.Fprintln(stderr, "platinum-report: -series must be positive, or 0 to disable")
-		return 2
+	for _, u := range []struct {
+		bad bool
+		msg string
+	}{
+		{*timeline != "" && (*trace <= 0 || *bucket <= 0), "-timeline requires -trace n > 0 and a positive -bucket"},
+		{*series < 0, "-series must be positive, or 0 to disable"},
+		{*trace < 0, "-trace must be positive, or 0 to disable"},
+		{*top < 0, "-top must be positive, or 0 for every page"},
+		{*size < 0, "-n must not be negative"},
+		{*text && *spans == "", "-text requires -spans"},
+	} {
+		if u.bad {
+			fmt.Fprintln(stderr, "platinum-report:", u.msg)
+			return 2
+		}
 	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "platinum-report:", err)
@@ -115,6 +128,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		want := apps.GaussReferenceChecksum(cfg)
+		if r.Checksum != want {
+			return fail(fmt.Errorf("gauss checksum mismatch: %#x, reference %#x", r.Checksum, want))
+		}
 		elapsed = r.Elapsed
 		header = fmt.Sprintf("gauss %dx%d on %d procs: %v (checksum %#x, reference %#x)",
 			*size, *size, *procs, r.Elapsed, r.Checksum, want)
@@ -126,6 +142,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		r, err := apps.RunMergeSort(pl, cfg)
 		if err != nil {
 			return fail(err)
+		}
+		if !r.Sorted {
+			return fail(fmt.Errorf("mergesort output not sorted"))
 		}
 		elapsed = r.Elapsed
 		header = fmt.Sprintf("mergesort %d words on %d procs: %v (sorted=%v)",
@@ -227,13 +246,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *spans != "" {
+		// Validate before exporting: spans must nest, and per-cause
+		// span time must reconcile exactly with the accounts — unless
+		// the retention cap dropped some, leaving a partial set.
 		rec := pl.K.Spans()
 		all := rec.Spans()
+		if err := span.ValidateNesting(all); err != nil {
+			return fail(fmt.Errorf("nesting: %w", err))
+		}
+		if rec.Dropped() > 0 {
+			fmt.Fprintf(stderr, "platinum-report: warning: %d spans dropped (retention cap); export is partial, reconciliation skipped\n",
+				rec.Dropped())
+		} else if err := span.Reconcile(all, pl.K.TotalAccount()); err != nil {
+			return fail(fmt.Errorf("reconcile: %w", err))
+		}
 		f, err := os.Create(*spans)
 		if err != nil {
 			return fail(err)
 		}
-		if err := span.WriteChrome(f, all); err != nil {
+		if *text {
+			_, err = span.Format(f, all)
+		} else {
+			var tracks []span.CounterTrack
+			if *series > 0 {
+				tracks = counterTracks(pl.K.CauseSeries(), rec.CountSeries())
+			}
+			err = span.WriteChrome(f, all, tracks)
+		}
+		if err != nil {
 			f.Close()
 			return fail(err)
 		}
@@ -279,6 +319,57 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	apps.ReleasePlatform(poolKey, pl)
 	return 0
+}
+
+// counterTracks turns the windowed telemetry series into Perfetto
+// counter tracks: operation rates per window from the span recorder's
+// count series, and the remote-access and fault+shootdown time
+// fractions per window from the engine's cause series. One point per
+// window across the full retained range (zeros included) so the curves
+// return to baseline between bursts.
+func counterTracks(cause, counts *timeseries.Series) []span.CounterTrack {
+	var tracks []span.CounterTrack
+	if counts != nil && !counts.Empty() {
+		cols := []struct {
+			col  int
+			name string
+		}{
+			{span.CountFault, "faults/window"},
+			{span.CountShootdown, "shootdowns/window"},
+			{span.CountBlockTransfer, "block-transfers/window"},
+			{span.CountFreeze, "freezes/window"},
+			{span.CountThaw, "thaws/window"},
+		}
+		for _, c := range cols {
+			tr := span.CounterTrack{Name: c.name}
+			for w := counts.LoWindow(); w <= counts.HiWindow(); w++ {
+				tr.Points = append(tr.Points, span.CounterPoint{
+					Ts: counts.WindowStart(w), Value: float64(counts.At(w, c.col)),
+				})
+			}
+			tracks = append(tracks, tr)
+		}
+	}
+	if cause != nil && !cause.Empty() {
+		remote := span.CounterTrack{Name: "remote-frac"}
+		fault := span.CounterTrack{Name: "fault-frac"}
+		for w := cause.LoWindow(); w <= cause.HiWindow(); w++ {
+			var total int64
+			for c := sim.Cause(0); c < sim.NumCauses; c++ {
+				total += cause.At(w, int(c))
+			}
+			rf, ff := 0.0, 0.0
+			if total > 0 {
+				rf = float64(cause.At(w, int(sim.CauseRemoteAccess))) / float64(total)
+				ff = float64(cause.At(w, int(sim.CauseFault))+cause.At(w, int(sim.CauseShootdown))) / float64(total)
+			}
+			ts := cause.WindowStart(w)
+			remote.Points = append(remote.Points, span.CounterPoint{Ts: ts, Value: rf})
+			fault.Points = append(fault.Points, span.CounterPoint{Ts: ts, Value: ff})
+		}
+		tracks = append(tracks, remote, fault)
+	}
+	return tracks
 }
 
 // writeHistTables prints the latency-distribution tables: machine-wide

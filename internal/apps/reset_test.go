@@ -84,7 +84,7 @@ func resetArtifacts(t *testing.T, pl *PlatinumPlatform, w resetWorkload) [3][]by
 	if err := metrics.WriteTimelineJSONL(&tl, events, sim.Millisecond); err != nil {
 		t.Fatalf("%s: timeline: %v", w.name, err)
 	}
-	if err := span.WriteChrome(&sp, pl.K.Spans().Spans()); err != nil {
+	if err := span.WriteChrome(&sp, pl.K.Spans().Spans(), nil); err != nil {
 		t.Fatalf("%s: spans: %v", w.name, err)
 	}
 	return [3][]byte{mj.Bytes(), tl.Bytes(), sp.Bytes()}

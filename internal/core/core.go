@@ -342,7 +342,6 @@ func NewSystem(m *mach.Machine, cfg Config) (*System, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = NewPlatinumPolicy(DefaultT1, false)
 	}
-	cfg.PageTables = cfg.PageTables.withDefaults()
 	mem, err := phys.NewMemory(m.Nodes(), cfg.FramesPerModule, m.Config().PageWords)
 	if err != nil {
 		return nil, err

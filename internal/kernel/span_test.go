@@ -116,7 +116,7 @@ func TestMigrateSliceSpans(t *testing.T) {
 			}
 
 			var buf bytes.Buffer
-			if err := span.WriteChrome(&buf, spans); err != nil {
+			if err := span.WriteChrome(&buf, spans, nil); err != nil {
 				t.Fatalf("WriteChrome: %v", err)
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.digest {

@@ -73,15 +73,11 @@ type CounterTrack struct {
 // becomes a complete ("X") event on (pid = processor, tid = recording
 // thread); fault and thaw spans are mirrored as async ("b"/"e") events
 // on the per-page process so each page gets its own causal timeline.
-func WriteChrome(w io.Writer, spans []Span) error {
-	return WriteChromeWith(w, spans, nil)
-}
-
-// WriteChromeWith is WriteChrome plus counter tracks: each track
-// becomes a sequence of counter ("C") events on a synthetic "counters"
-// process, charted by Perfetto as a value-over-time row. Tracks are
-// emitted in the order given — callers keep that order deterministic.
-func WriteChromeWith(w io.Writer, spans []Span, counters []CounterTrack) error {
+// Each counter track (nil for none) becomes a sequence of counter
+// ("C") events on a synthetic "counters" process, charted by Perfetto
+// as a value-over-time row. Tracks are emitted in the order given —
+// callers keep that order deterministic.
+func WriteChrome(w io.Writer, spans []Span, counters []CounterTrack) error {
 	ordered := append([]Span(nil), spans...)
 	sortSpans(ordered)
 

@@ -156,7 +156,7 @@ func TestWriteChromeParses(t *testing.T) {
 		{ID: 4, Kind: KindThaw, Track: 8, Proc: 1, Page: 5, Start: 600, End: 700},
 	}
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, spans); err != nil {
+	if err := WriteChrome(&buf, spans, nil); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var doc struct {

@@ -13,6 +13,7 @@
 #   7. EXPERIMENTS.md documents every telemetry JSON field.
 #   8. Every `pkg.Symbol` reference to an internal package in the prose
 #      docs resolves with go doc.
+#   9. Every `cmd/<name>` the prose docs mention exists as a directory.
 #
 # Run from the repository root: ./scripts/check-docs.sh
 set -eu
@@ -95,6 +96,16 @@ for ref in $(grep -ohE "\b($pkgs)\.[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)?" \
 	README.md DESIGN.md EXPERIMENTS.md CONTRIBUTING.md TOPOLOGY.md | sort -u); do
 	if ! go doc "platinum/internal/${ref%%.*}" "${ref#*.}" >/dev/null 2>&1; then
 		echo "docs: $ref does not resolve (go doc platinum/internal/${ref%%.*} ${ref#*.})"
+		fail=1
+	fi
+done
+
+# 9. Every `cmd/<name>` the prose docs mention must exist, so a deleted
+#    command cannot stay documented.
+for dir in $(grep -ohE "\bcmd/[a-z][a-z0-9-]*" \
+	README.md DESIGN.md EXPERIMENTS.md CONTRIBUTING.md TOPOLOGY.md | sort -u); do
+	if [ ! -d "$dir" ]; then
+		echo "docs: $dir does not exist"
 		fail=1
 	fi
 done
