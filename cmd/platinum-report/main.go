@@ -289,6 +289,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *trace > 0 {
 		events, dropped := pl.K.Trace()
 		if *timeline != "" {
+			if dropped > 0 {
+				return fail(fmt.Errorf("-timeline: the trace dropped %d events; raise -trace above %d for a complete timeline (no file written)", dropped, *trace))
+			}
 			f, err := os.Create(*timeline)
 			if err != nil {
 				return fail(err)

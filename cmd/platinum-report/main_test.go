@@ -387,6 +387,24 @@ func TestTimelineUsageErrors(t *testing.T) {
 	}
 }
 
+// TestTimelineRejectsDroppedTrace checks that a trace too small for
+// the run fails the timeline export (exit 1, a message naming the drop
+// count and -trace) instead of writing a silently partial file.
+func TestTimelineRejectsDroppedTrace(t *testing.T) {
+	tl := filepath.Join(t.TempDir(), "timeline.jsonl")
+	var out, errb bytes.Buffer
+	code := run([]string{"-app", "gauss", "-n", "16", "-procs", "2", "-trace", "10", "-timeline", tl, "-json"}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit code %d, want 1", code)
+	}
+	if msg := errb.String(); !strings.Contains(msg, "dropped") || !strings.Contains(msg, "-trace") {
+		t.Errorf("stderr %q does not name the dropped events and -trace", msg)
+	}
+	if _, err := os.Stat(tl); !os.IsNotExist(err) {
+		t.Errorf("partial timeline written (stat error %v)", err)
+	}
+}
+
 func TestUnknownAppFails(t *testing.T) {
 	_, code := runCmd(t, "-app", "nosuch")
 	if code != 1 {

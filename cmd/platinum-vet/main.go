@@ -1,8 +1,8 @@
 // Command platinum-vet runs the project's static-analysis suite
 // (internal/analysis) over the module tree: the determinism,
-// cost-attribution, event-exhaustiveness, span-pairing and
-// protocol-panic analyzers that enforce at vet time the invariants the
-// test suite otherwise only catches at run time.
+// cost-attribution, protocol-panic, hot-path allocation and atomics
+// analyzers that enforce at vet time the invariants the test suite
+// otherwise only catches at run time.
 //
 // Usage:
 //

@@ -2,17 +2,19 @@
 // enforces, at compile time, the invariants every quantitative claim in
 // this reproduction rests on at run time: deterministic dispatch
 // (byte-identical reports across -j1/-j8), exact cost conservation and
-// cause attribution, panic-free protocol paths, exhaustive handling of
-// protocol event kinds, and allocation-free hot paths.
+// cause attribution, panic-free protocol paths, race-free atomics and
+// allocation-free hot paths. Facts a table can hold (per-kind names,
+// classes and telemetry roles) live in their kind tables and need no
+// analyzer.
 //
 // The package mirrors the shape of golang.org/x/tools/go/analysis — an
 // Analyzer with a Run function over a Pass carrying the type-checked
 // package — but is built entirely on the standard library (go/parser,
 // go/types and the "source" importer), so it needs no module downloads
 // and runs in a hermetic build. See the analyzer files (nodeterminism,
-// chargecause, exhaustiveevent, noprotocolpanic, hotalloc, histcause,
-// detwalk, hotescape, atomicsafe) for what is enforced and why, and cmd/platinum-vet for the multichecker that runs
-// the suite over the tree.
+// chargecause, noprotocolpanic, hotalloc, detwalk, hotescape,
+// atomicsafe) for what is enforced and why, and cmd/platinum-vet for
+// the multichecker that runs the suite over the tree.
 //
 // Findings can be suppressed per line with
 //
@@ -185,10 +187,8 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerNoDeterminism,
 		AnalyzerChargeCause,
-		AnalyzerExhaustiveEvent,
 		AnalyzerNoProtocolPanic,
 		AnalyzerHotAlloc,
-		AnalyzerHistCause,
 		AnalyzerDetWalk,
 		AnalyzerHotEscape,
 		AnalyzerAtomicSafe,

@@ -21,11 +21,6 @@ func TestChargeCause(t *testing.T) {
 		[]*analysis.Analyzer{analysis.AnalyzerChargeCause}, "chargecause")
 }
 
-func TestExhaustiveEvent(t *testing.T) {
-	analysistest.Run(t, fixtures,
-		[]*analysis.Analyzer{analysis.AnalyzerExhaustiveEvent}, "exhaustiveevent")
-}
-
 func TestNoProtocolPanic(t *testing.T) {
 	analysistest.Run(t, fixtures,
 		[]*analysis.Analyzer{analysis.AnalyzerNoProtocolPanic}, "platinum/internal/mach")
@@ -37,14 +32,6 @@ func TestHotAlloc(t *testing.T) {
 	if got := len(res.Suppressed); got != 1 {
 		t.Errorf("suppressed findings = %d, want 1 (the warm-up append)", got)
 	}
-}
-
-// TestHistCause runs the histogram/reconciliation coupling check
-// against the span fixture, whose HistogramCauses deliberately lists
-// one cause missing from ReconciledCauses.
-func TestHistCause(t *testing.T) {
-	analysistest.Run(t, fixtures,
-		[]*analysis.Analyzer{analysis.AnalyzerHistCause}, "platinum/internal/span")
 }
 
 // TestDetWalk checks the interprocedural determinism walk: sources
@@ -153,8 +140,7 @@ func TestSuppressionClean(t *testing.T) {
 // unique non-empty names, and a doc line for platinum-vet -list.
 func TestRegistry(t *testing.T) {
 	want := []string{
-		"nodeterminism", "chargecause", "exhaustiveevent",
-		"noprotocolpanic", "hotalloc", "histcause",
+		"nodeterminism", "chargecause", "noprotocolpanic", "hotalloc",
 		"detwalk", "hotescape", "atomicsafe",
 	}
 	all := analysis.All()

@@ -27,32 +27,47 @@ const (
 	EvFreeze                        // the policy froze the page
 	EvThaw                          // the defrost daemon or a thaw-on-fault policy thawed it
 
-	// evKindCount counts the kinds above; adding a kind without a row
-	// in eventKinds trips the exhaustiveness test.
+	// evKindCount counts the kinds above; a kind without a row in
+	// eventKinds fails the sentinel test.
 	evKindCount
+)
+
+// EventClass is the role trace analysis gives an event kind. The zero
+// value is invalid, so a table row without a class fails the sentinel
+// test.
+type EventClass uint8
+
+// Event classes.
+const (
+	ClassFault  EventClass = iota + 1 // a read or write fault
+	ClassMove                         // a copy replicated or migrated
+	ClassFreeze                       // the page froze
+	ClassThaw                         // the page thawed
+	ClassOther                        // history only: no analysis counts it
 )
 
 // eventKinds is the one table of protocol event kinds: each row holds
 // the kind's hyphenated name, used in trace listings and the timeline
-// JSONL export (e.g. "read-fault"), and the span count-series column
-// note feeds for it, or -1 when it has none.
+// JSONL export (e.g. "read-fault"), its class, and the span
+// count-series column note feeds for it, or -1 when it has none.
 var eventKinds = [evKindCount]struct {
-	name string
-	col  int
+	name  string
+	class EventClass
+	col   int
 }{
-	EvReadFault:    {"read-fault", span.CountFault},
-	EvWriteFault:   {"write-fault", span.CountFault},
-	EvReplication:  {"replication", -1},
-	EvMigration:    {"migration", -1},
-	EvInvalidation: {"invalidation", -1},
-	EvRemoteMap:    {"remote-map", -1},
-	EvFreeze:       {"freeze", span.CountFreeze},
-	EvThaw:         {"thaw", span.CountThaw},
+	EvReadFault:    {"read-fault", ClassFault, span.CountFault},
+	EvWriteFault:   {"write-fault", ClassFault, span.CountFault},
+	EvReplication:  {"replication", ClassMove, -1},
+	EvMigration:    {"migration", ClassMove, -1},
+	EvInvalidation: {"invalidation", ClassOther, -1},
+	EvRemoteMap:    {"remote-map", ClassOther, -1},
+	EvFreeze:       {"freeze", ClassFreeze, span.CountFreeze},
+	EvThaw:         {"thaw", ClassThaw, span.CountThaw},
 }
 
 // EventKinds returns every event kind, in declaration order, for code
-// that iterates over all kinds (summaries, exhaustiveness tests)
-// without hard-coding the first and last kind.
+// that iterates over all kinds (summaries, sentinel tests) without
+// hard-coding the first and last kind.
 func EventKinds() []EventKind {
 	kinds := make([]EventKind, evKindCount)
 	for i := range kinds {
@@ -67,6 +82,24 @@ func (k EventKind) String() string {
 		return eventKinds[k].name
 	}
 	return "event(?)"
+}
+
+// Class returns the kind's class from the event table (zero, which is
+// invalid, for an unknown kind).
+func (k EventKind) Class() EventClass {
+	if k < evKindCount {
+		return eventKinds[k].class
+	}
+	return 0
+}
+
+// CountCol returns the span count-series column the kind feeds, or -1
+// when it feeds none.
+func (k EventKind) CountCol() int {
+	if k < evKindCount {
+		return eventKinds[k].col
+	}
+	return -1
 }
 
 // Event is one recorded protocol action.

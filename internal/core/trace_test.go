@@ -83,12 +83,15 @@ func TestEventKindStrings(t *testing.T) {
 		if name == "event(?)" {
 			t.Errorf("kind %d has no name", k)
 		}
+		if c := k.Class(); c < ClassFault || c > ClassOther {
+			t.Errorf("kind %v has no valid class (got %d)", k, c)
+		}
 		if prev, dup := seen[name]; dup {
 			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
 		}
 		seen[name] = k
 	}
-	if EventKind(99).String() != "event(?)" {
+	if EventKind(99).String() != "event(?)" || EventKind(99).Class() != 0 || EventKind(99).CountCol() != -1 {
 		t.Error("unknown kind not handled")
 	}
 }

@@ -147,3 +147,22 @@ func TestCheckEventConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestOpHistRejectsUnreconciledCause checks that the op-histogram check
+// rejects a histogrammed span whose cause span.Reconcile does not
+// cover, so no histogrammed operation escapes reconciliation, while a
+// non-histogrammed kind may carry such a cause.
+func TestOpHistRejectsUnreconciledCause(t *testing.T) {
+	rec := span.NewRecorder(0)
+	rec.EnableRetain(0)
+	rec.EnableOpHists()
+	rec.Record(span.Span{Kind: span.KindFault, Cause: sim.CauseFault, Start: 0, End: 10})
+	rec.Record(span.Span{Kind: span.KindQueueWait, Cause: sim.CauseQueue, Start: 2, End: 5})
+	if err := CheckOpHistConservation(rec, rec.Spans()); err != nil {
+		t.Fatalf("reconciled recording rejected: %v", err)
+	}
+	rec.Record(span.Span{Kind: span.KindShootdown, Cause: sim.CauseQueue, Start: 10, End: 20})
+	if err := CheckOpHistConservation(rec, rec.Spans()); err == nil {
+		t.Error("histogrammed span with an unreconciled cause not caught")
+	}
+}

@@ -130,8 +130,8 @@ func BuildHistograms(e *sim.Engine, rec *span.Recorder) *Histograms {
 		}
 	}
 	if opsOn {
-		for _, k := range span.HistogramKinds {
-			if h := rec.OpHist(k); h != nil && !h.Empty() {
+		for _, k := range span.Kinds() {
+			if h := rec.OpHist(k); h != nil && !h.Empty() { // nil: not histogrammed
 				out.Ops = append(out.Ops, FromHist(k.String(), h, true))
 			}
 		}
@@ -276,9 +276,11 @@ func CheckHistConservation(e *sim.Engine, accts []sim.Account) error {
 // CheckOpHistConservation verifies the whole-operation histograms
 // against a complete retained span recording: for every histogrammed
 // kind, the histogram's count and sum must equal the number and total
-// duration of the retained spans of that kind. The recorder must have
-// dropped nothing (Recorder.Dropped() == 0) for the comparison to be
-// meaningful; a nonzero drop count is an error here.
+// duration of the retained spans of that kind, and each of those spans
+// must carry a cause in span.ReconciledCauses, so no histogrammed
+// operation escapes span/account reconciliation. The recorder must
+// have dropped nothing (Recorder.Dropped() == 0) for the comparison to
+// be meaningful; a nonzero drop count is an error here.
 func CheckOpHistConservation(rec *span.Recorder, spans []span.Span) error {
 	if rec == nil || !rec.OpHistsEnabled() {
 		return fmt.Errorf("metrics: op histograms not enabled")
@@ -286,21 +288,30 @@ func CheckOpHistConservation(rec *span.Recorder, spans []span.Span) error {
 	if d := rec.Dropped(); d != 0 {
 		return fmt.Errorf("metrics: span recording dropped %d spans; op conservation unverifiable", d)
 	}
-	for _, k := range span.HistogramKinds {
-		var count, sum int64
-		for _, sp := range spans {
-			if sp.Kind == k {
-				count++
-				sum += int64(sp.Dur())
-			}
+	var reconciled [sim.NumCauses]bool
+	for _, c := range span.ReconciledCauses {
+		reconciled[c] = true
+	}
+	kinds := span.Kinds()
+	count, sum := make([]int64, len(kinds)), make([]int64, len(kinds))
+	for _, sp := range spans {
+		if rec.OpHist(sp.Kind) == nil {
+			continue // not histogrammed
 		}
+		if !reconciled[sp.Cause] {
+			return fmt.Errorf("metrics: %v span %d carries cause %v, which is not reconciled", sp.Kind, sp.ID, sp.Cause)
+		}
+		count[sp.Kind]++
+		sum[sp.Kind] += int64(sp.Dur())
+	}
+	for _, k := range kinds {
 		h := rec.OpHist(k)
 		if h == nil {
-			return fmt.Errorf("metrics: no op histogram for kind %v", k)
+			continue
 		}
-		if h.Count() != count || h.Sum() != sum {
+		if h.Count() != count[k] || h.Sum() != sum[k] {
 			return fmt.Errorf("metrics: kind %v: histogram count/sum %d/%d != spans %d/%d",
-				k, h.Count(), h.Sum(), count, sum)
+				k, h.Count(), h.Sum(), count[k], sum[k])
 		}
 		if h.BucketTotal() != h.Count() {
 			return fmt.Errorf("metrics: kind %v: bucket total %d != count %d", k, h.BucketTotal(), h.Count())
@@ -331,9 +342,10 @@ func CheckSeriesConservation(e *sim.Engine, total sim.Account) error {
 
 // CheckEventConservation verifies that the three views of the protocol
 // events core.System.note feeds agree. Per event kind, the trace's count
-// must equal the report's sum over pages; the count series' exact totals
-// (spill included) must equal the report's faults (read plus write),
-// freezes and thaws. A dropped trace or a disabled series is an error.
+// must equal the report's sum over pages. Per count-series column that
+// events feed (faults, freezes, thaws), the series' exact total (spill
+// included) must equal the report's sum over the kinds whose CountCol
+// is that column. A dropped trace or a disabled series is an error.
 func CheckEventConservation(r core.Report, events []core.Event, dropped int64, counts *timeseries.Series) error {
 	if dropped != 0 {
 		return fmt.Errorf("metrics: trace dropped %d events; event conservation unverifiable", dropped)
@@ -356,21 +368,20 @@ func CheckEventConservation(r core.Report, events []core.Event, dropped int64, c
 			reported[k] += n
 		}
 	}
+	want := map[int]int64{} // series column -> expected total
 	for _, k := range core.EventKinds() {
 		if traced[k] != reported[k] {
 			return fmt.Errorf("metrics: %v: trace has %d events, report %d", k, traced[k], reported[k])
 		}
+		if col := k.CountCol(); col >= 0 {
+			want[col] += reported[k]
+		}
 	}
-	for _, c := range []struct {
-		col  int
-		want int64
-	}{
-		{span.CountFault, reported[core.EvReadFault] + reported[core.EvWriteFault]},
-		{span.CountFreeze, reported[core.EvFreeze]},
-		{span.CountThaw, reported[core.EvThaw]},
-	} {
-		if got := counts.Total(c.col); got != c.want {
-			return fmt.Errorf("metrics: %s: series total %d != report %d", span.CountName(c.col), got, c.want)
+	for col := 0; col < span.NumCounts; col++ {
+		if w, fed := want[col]; fed {
+			if got := counts.Total(col); got != w {
+				return fmt.Errorf("metrics: %s: series total %d != report %d", span.CountName(col), got, w)
+			}
 		}
 	}
 	return nil

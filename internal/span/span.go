@@ -129,43 +129,53 @@ const (
 	numKinds // sentinel: count of span kinds
 )
 
-// kindNames holds each kind's stable hyphenated name, used as the event
-// name in Chrome trace exports and flight-recorder dumps.
-var kindNames = [numKinds]string{
-	KindFault:         "fault",
-	KindDirLookup:     "dir-lookup",
-	KindQueueWait:     "queue-wait",
-	KindIPTLookup:     "ipt-lookup",
-	KindFrameAlloc:    "frame-alloc",
-	KindFrameFree:     "frame-free",
-	KindShootdown:     "shootdown",
-	KindShootTarget:   "shoot-target",
-	KindAck:           "ack",
-	KindBlockTransfer: "block-transfer",
-	KindStall:         "stall",
-	KindMapUpdate:     "map-update",
-	KindIRQPenalty:    "irq-penalty",
-	KindATCReload:     "atc-reload",
-	KindMsgApply:      "msg-apply",
-	KindRetry:         "retry",
-	KindDefrostSweep:  "defrost-sweep",
-	KindThaw:          "thaw",
-	KindSlice:         "slice",
-	KindPmapWalk:      "pmap-walk",
-	KindPTReplicate:   "pt-replicate",
-	KindBatchFlush:    "batch-flush",
+// kindTable is the one table of span kinds. Each row holds the kind's
+// stable hyphenated name (the event name in Chrome trace exports and
+// flight-recorder dumps), whether Record feeds its whole-operation
+// duration into a latency histogram when EnableOpHists is on, and the
+// count-series column its start feeds, or -1 when it has none. The
+// histogrammed kinds are the paper's composite costs (a coherent fault
+// end to end, one shootdown round, one hardware block transfer) rather
+// than their individual charge components.
+var kindTable = [numKinds]struct {
+	name string
+	hist bool
+	col  int
+}{
+	KindFault:         {"fault", true, -1},
+	KindDirLookup:     {"dir-lookup", false, -1},
+	KindQueueWait:     {"queue-wait", false, -1},
+	KindIPTLookup:     {"ipt-lookup", false, -1},
+	KindFrameAlloc:    {"frame-alloc", false, -1},
+	KindFrameFree:     {"frame-free", false, -1},
+	KindShootdown:     {"shootdown", true, CountShootdown},
+	KindShootTarget:   {"shoot-target", false, -1},
+	KindAck:           {"ack", false, -1},
+	KindBlockTransfer: {"block-transfer", true, CountBlockTransfer},
+	KindStall:         {"stall", false, -1},
+	KindMapUpdate:     {"map-update", false, -1},
+	KindIRQPenalty:    {"irq-penalty", false, -1},
+	KindATCReload:     {"atc-reload", false, -1},
+	KindMsgApply:      {"msg-apply", false, -1},
+	KindRetry:         {"retry", false, -1},
+	KindDefrostSweep:  {"defrost-sweep", false, -1},
+	KindThaw:          {"thaw", false, -1},
+	KindSlice:         {"slice", false, -1},
+	KindPmapWalk:      {"pmap-walk", false, -1},
+	KindPTReplicate:   {"pt-replicate", false, -1},
+	KindBatchFlush:    {"batch-flush", false, -1},
 }
 
-// String returns the kind's name from kindNames.
+// String returns the kind's name from kindTable.
 func (k Kind) String() string {
-	if k < numKinds && kindNames[k] != "" {
-		return kindNames[k]
+	if k < numKinds && kindTable[k].name != "" {
+		return kindTable[k].name
 	}
 	return "span(?)"
 }
 
-// Kinds returns every span kind, for exhaustiveness tests and export
-// legends.
+// Kinds returns every span kind in declaration order, for sentinel
+// tests, export legends and the op-histogram sections.
 func Kinds() []Kind {
 	out := make([]Kind, numKinds)
 	for i := range out {

@@ -14,7 +14,10 @@ func TestKindStringsExhaustive(t *testing.T) {
 	for _, k := range Kinds() {
 		s := k.String()
 		if s == "span(?)" {
-			t.Fatalf("kind %d has no String case", k)
+			t.Fatalf("kind %d has no name in kindTable", k)
+		}
+		if col := kindTable[k].col; col < -1 || col >= NumCounts {
+			t.Errorf("kind %v has count column %d, want -1..%d", k, col, NumCounts-1)
 		}
 		if prev, dup := seen[s]; dup {
 			t.Fatalf("kinds %d and %d share the name %q", prev, k, s)

@@ -23,32 +23,13 @@ import (
 // any simulation result. It is off by default and off again after
 // Reset.
 
-// HistogramKinds are the span kinds whose whole-operation durations get
-// a latency histogram when EnableOpHists is on: the paper's composite
-// costs (a coherent fault end to end, one shootdown round, one hardware
-// block transfer) rather than their individual charge components.
-var HistogramKinds = []Kind{
-	KindFault,
-	KindShootdown,
-	KindBlockTransfer,
-}
-
-// HistogramCauses are the attribution causes the histogrammed operation
-// kinds attribute their Self time to. Every cause here must also appear
-// in ReconciledCauses — a histogrammed operation that skipped span/
-// account reconciliation could drift from the totals unnoticed — and
-// the platinum/histcause analyzer enforces that statically.
-var HistogramCauses = []sim.Cause{
-	sim.CauseFault,
-	sim.CauseShootdown,
-	sim.CauseBlockTransfer,
-}
-
 // Count-series columns: one per operation rate the windowed series
-// tracks. Shootdown and block-transfer starts come from Record. Faults
-// (read plus write), freezes and thaws are protocol events: the core's
-// event funnel (core.System.note) counts them through CountEvent, from
-// the same call that feeds the per-page report and the trace ring.
+// tracks. Shootdown and block-transfer starts come from Record, through
+// the col column of kindTable. Faults (read plus write), freezes and
+// thaws are protocol events: the core's event funnel (core.System.note)
+// counts them through CountEvent, from the same call that feeds the
+// per-page report and the trace ring, through the col column of its
+// own event table.
 const (
 	CountFault = iota
 	CountShootdown
@@ -77,27 +58,8 @@ func CountName(col int) string {
 	return "count(?)"
 }
 
-// histKind marks the kinds in HistogramKinds for O(1) hot-path lookup;
-// countCol maps a span kind to its count-series column (-1 for kinds
-// without one). Both are derived once at init.
-var (
-	histKind [numKinds]bool
-	countCol [numKinds]int
-)
-
-func init() {
-	for k := range countCol {
-		countCol[k] = -1
-	}
-	for _, k := range HistogramKinds {
-		histKind[k] = true
-	}
-	countCol[KindShootdown] = CountShootdown
-	countCol[KindBlockTransfer] = CountBlockTransfer
-}
-
 // EnableOpHists starts recording one whole-operation latency histogram
-// per kind in HistogramKinds. Call before the run so Count matches the
+// per histogrammed kind (the hist column of kindTable). Call before the run so Count matches the
 // recorder's totals; storage from an earlier enable is reused.
 func (r *Recorder) EnableOpHists() {
 	if r.opHists == nil {
@@ -110,7 +72,7 @@ func (r *Recorder) EnableOpHists() {
 // when op histograms are off or k is not a histogrammed kind. The
 // histogram aliases recorder state: read it only between runs.
 func (r *Recorder) OpHist(k Kind) *hist.H {
-	if !r.opHistsOn || k >= numKinds || !histKind[k] {
+	if !r.opHistsOn || k >= numKinds || !kindTable[k].hist {
 		return nil
 	}
 	return &r.opHists[k]
@@ -163,13 +125,12 @@ func (r *Recorder) CountEvent(at sim.Time, col int) {
 //
 //platinum:hotpath
 func (r *Recorder) recordTelemetry(sp *Span) {
-	if r.opHistsOn && histKind[sp.Kind] {
+	row := &kindTable[sp.Kind]
+	if r.opHistsOn && row.hist {
 		r.opHists[sp.Kind].Record(int64(sp.End - sp.Start))
 	}
-	if r.countsOn {
-		if col := countCol[sp.Kind]; col >= 0 {
-			r.counts.Add(int64(sp.Start), col, 1)
-		}
+	if r.countsOn && row.col >= 0 {
+		r.counts.Add(int64(sp.Start), row.col, 1)
 	}
 }
 

@@ -1,10 +1,6 @@
 package span
 
-import (
-	"testing"
-
-	"platinum/internal/sim"
-)
+import "testing"
 
 // TestOpHistRecordsCompositeKinds verifies whole-operation histograms
 // see exactly the histogrammed kinds, with exact counts and sums.
@@ -102,23 +98,5 @@ func TestTelemetryResetAndReuse(t *testing.T) {
 	r.Record(Span{Kind: KindFault, Start: 0, End: 10})
 	if h := r.OpHist(KindFault); h.Count() != 1 {
 		t.Errorf("re-enabled op hist count = %d, want 1", h.Count())
-	}
-}
-
-// TestHistogramCausesReconciled mirrors the platinum/histcause static
-// check at runtime: every histogrammed cause must reconcile.
-func TestHistogramCausesReconciled(t *testing.T) {
-	reconciled := make(map[sim.Cause]bool, len(ReconciledCauses))
-	for _, c := range ReconciledCauses {
-		reconciled[c] = true
-	}
-	for _, c := range HistogramCauses {
-		if !reconciled[c] {
-			t.Errorf("HistogramCauses contains %v, which is not in ReconciledCauses", c)
-		}
-	}
-	if len(HistogramKinds) != len(HistogramCauses) {
-		t.Errorf("HistogramKinds (%d) and HistogramCauses (%d) lengths differ",
-			len(HistogramKinds), len(HistogramCauses))
 	}
 }

@@ -146,9 +146,12 @@ func DefaultConfig() Config {
 }
 
 // Validate reports a configuration Generate cannot draw a schedule
-// from: a negative length, or no processors, spaces or pages to pick.
+// from (a negative length, or no processors, spaces or pages to pick)
+// or a Bug the harness does not know.
 func (c Config) Validate() error {
 	switch {
+	case c.Bug != "" && c.Bug != "desync":
+		return fmt.Errorf("stress: Bug = %q, want \"\" or \"desync\"", c.Bug)
 	case c.Ops < 0:
 		return fmt.Errorf("stress: Ops = %d, must be >= 0", c.Ops)
 	case c.Procs < 1:

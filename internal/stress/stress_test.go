@@ -177,6 +177,7 @@ func TestInvalidConfigIsAFailure(t *testing.T) {
 		{"Spaces", func(c *Config) { c.Spaces = -1 }},
 		{"Pages", func(c *Config) { c.Pages = 0 }},
 		{"Pages", func(c *Config) { c.Pages = -1 }},
+		{"Bug", func(c *Config) { c.Bug = "nosuch" }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()
@@ -195,5 +196,9 @@ func TestInvalidConfigIsAFailure(t *testing.T) {
 	cfg.Ops = 0
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("Ops = 0: Validate = %v, want nil (an empty schedule is valid)", err)
+	}
+	cfg.Bug = "desync"
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Bug = desync: Validate = %v, want nil", err)
 	}
 }

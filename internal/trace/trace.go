@@ -78,13 +78,11 @@ func ByPage(events []core.Event) []*PageHistory {
 			byID[ev.Cpage] = h
 		}
 		h.Events = append(h.Events, ev)
-		switch ev.Kind {
-		case core.EvReadFault, core.EvWriteFault:
+		switch ev.Kind.Class() {
+		case core.ClassFault:
 			h.Faults++
-		case core.EvReplication, core.EvMigration:
+		case core.ClassMove:
 			h.Moves++
-		default:
-			// Other kinds contribute to the history but not the counters.
 		}
 	}
 	out := make([]*PageHistory, 0, len(byID))
@@ -107,16 +105,14 @@ func freezeCycles(events []core.Event) int {
 	cycles := 0
 	frozen := false
 	for _, ev := range events {
-		switch ev.Kind {
-		case core.EvFreeze:
+		switch ev.Kind.Class() {
+		case core.ClassFreeze:
 			frozen = true
-		case core.EvThaw:
+		case core.ClassThaw:
 			if frozen {
 				cycles++
 				frozen = false
 			}
-		default:
-			// Faults and moves do not affect the freeze state machine.
 		}
 	}
 	return cycles
@@ -126,7 +122,8 @@ func freezeCycles(events []core.Event) int {
 // migrations by strictly alternating processors — the write-sharing
 // interference signature the freeze policy detects via invalidation
 // history. Replications are excluded: read fan-out to many processors
-// is healthy caching, not interference.
+// is healthy caching, not interference. Faults and replications neither
+// extend nor break a run; a freeze or thaw ends one.
 func pingPongRuns(events []core.Event) int {
 	runs := 0
 	runLen := 0
@@ -139,20 +136,14 @@ func pingPongRuns(events []core.Event) int {
 		lastProc = -1
 	}
 	for _, ev := range events {
-		switch ev.Kind {
-		case core.EvMigration:
-			if ev.Proc != lastProc {
-				runLen++
-				lastProc = ev.Proc
-			} else {
+		if ev.Kind == core.EvMigration {
+			if ev.Proc == lastProc {
 				flush()
-				runLen = 1
-				lastProc = ev.Proc
 			}
-		case core.EvFreeze, core.EvThaw:
+			runLen++
+			lastProc = ev.Proc
+		} else if c := ev.Kind.Class(); c == core.ClassFreeze || c == core.ClassThaw {
 			flush()
-		default:
-			// Faults and replications neither extend nor break a run.
 		}
 	}
 	flush()

@@ -7,7 +7,9 @@
 #   3. The README architecture diagram must mention every package that
 #      `go list ./internal/...` reports, so the walkthrough cannot
 #      silently drift from the tree.
-#   4. README documents every analyzer `platinum-vet -list` registers.
+#   4. README documents every analyzer `platinum-vet -list` registers,
+#      and every analyzer that README's platinum-vet bullet list or
+#      EXPERIMENTS.md's analyzer table names is registered.
 #   5. EXPERIMENTS.md documents every `platinum-bench -list` experiment.
 #   6. TOPOLOGY.md's JSON examples and examples/topologies/*.json load.
 #   7. EXPERIMENTS.md documents every telemetry JSON field.
@@ -51,11 +53,29 @@ for import_path in $(go list ./internal/...); do
 done
 
 # 4. README documents every analyzer cmd/platinum-vet actually
-#    registers, by its registered name, so the analyzer docs cannot
-#    drift from the suite.
-for name in $(go run ./cmd/platinum-vet -list | cut -f1); do
+#    registers, by its registered name, and every analyzer the docs name
+#    (README's "Static analysis" bullets, EXPERIMENTS.md's platinum-vet
+#    table) is registered, so the analyzer docs cannot drift from the
+#    suite in either direction: a deleted analyzer cannot stay
+#    documented.
+registered=$(go run ./cmd/platinum-vet -list | cut -f1)
+for name in $registered; do
 	if ! grep -q "$name" README.md; then
 		echo "README: does not document analyzer '$name' (cmd/platinum-vet -list)"
+		fail=1
+	fi
+done
+readme_names=$(awk '/^## Static analysis/ { on = 1; next } /^## / { on = 0 } on' README.md |
+	sed -n 's/^- \*\*`\([a-z]*\)`\*\*.*/\1/p')
+experiments_names=$(awk '/^## Statically-enforced invariants/ { on = 1; next } /^## / { on = 0 } on' EXPERIMENTS.md |
+	sed -n 's/^| `\([a-z]*\)` |.*/\1/p')
+if [ -z "$readme_names" ] || [ -z "$experiments_names" ]; then
+	echo "docs: no analyzer list found in README.md or EXPERIMENTS.md (section renamed?)"
+	fail=1
+fi
+for name in $readme_names $experiments_names; do
+	if ! echo "$registered" | grep -qx "$name"; then
+		echo "docs: analyzer '$name' is documented but not registered (cmd/platinum-vet -list)"
 		fail=1
 	fi
 done
