@@ -93,6 +93,35 @@ func TestHandoffZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSpawnZeroAlloc pins thread creation: on a reset engine, a
+// 4-thread Spawn+Run cycle reuses the pooled Thread structs and the
+// pooled stacks their bodies run on, and allocates nothing.
+func TestSpawnZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates; run without -race")
+	}
+	e := sim.NewEngine()
+	body := func(th *sim.Thread) {
+		th.Advance(100)
+		th.Advance(100)
+	}
+	var err error
+	cycle := func() {
+		e.Reset()
+		for i := 0; i < 4; i++ {
+			e.Spawn("w", body)
+		}
+		err = e.Run()
+	}
+	cycle() // warm the thread and stack pools
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("Spawn+Run of 4 threads allocates %v per cycle, want 0", got)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSpanBeginEndZeroAlloc pins the span shape the builder sites
 // (msg-apply, batch-flush, retry, stack transfer, slices) record — a
 // completed span with proc, track and a lazy note — at zero allocations

@@ -75,6 +75,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{*trace < 0, "-trace must be positive, or 0 to disable"},
 		{*top < 0, "-top must be positive, or 0 for every page"},
 		{*size < 0, "-n must not be negative"},
+		{*app == "gauss" && *size < 1, "-n is the matrix dimension for -app gauss and must be at least 1"},
+		{*app == "mergesort" && *size < *procs, fmt.Sprintf("-n is the word count for -app mergesort and must be at least -procs (%d)", *procs)},
+		{*app == "backprop" && (*size < 1 || *size > 999), "-n is the epoch count for -app backprop and must be 1..999"},
 		{*text && *spans == "", "-text requires -spans"},
 	} {
 		if u.bad {
@@ -136,9 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*size, *size, *procs, r.Elapsed, r.Checksum, want)
 	case "mergesort":
 		cfg := apps.DefaultMergeSortConfig(*procs)
-		if *size > 0 {
-			cfg.Words = *size
-		}
+		cfg.Words = *size
 		r, err := apps.RunMergeSort(pl, cfg)
 		if err != nil {
 			return fail(err)
@@ -151,9 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg.Words, *procs, r.Elapsed, r.Sorted)
 	case "backprop":
 		cfg := apps.DefaultBackpropConfig(*procs)
-		if *size > 0 && *size < 1000 {
-			cfg.Epochs = *size
-		}
+		cfg.Epochs = *size
 		r, err := apps.RunBackprop(pl, cfg)
 		if err != nil {
 			return fail(err)

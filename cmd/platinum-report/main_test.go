@@ -359,6 +359,10 @@ func TestTimelineUsageErrors(t *testing.T) {
 		{"negative trace", []string{"-trace", "-3"}, "-trace must be positive"},
 		{"negative top", []string{"-top", "-1"}, "-top must be positive"},
 		{"negative size", []string{"-app", "mergesort", "-n", "-4"}, "-n must not be negative"},
+		{"backprop epochs over range", []string{"-app", "backprop", "-n", "5000"}, "must be 1..999"},
+		{"mergesort zero words", []string{"-app", "mergesort", "-n", "0"}, "must be at least -procs (2)"},
+		{"mergesort fewer words than procs", []string{"-app", "mergesort", "-n", "1"}, "must be at least -procs (2)"},
+		{"gauss zero size", []string{"-app", "gauss", "-n", "0"}, "must be at least 1"},
 		{"text without spans", []string{"-text"}, "-text requires -spans"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,8 @@
 package analysis_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -165,5 +167,34 @@ func TestRegistry(t *testing.T) {
 				t.Errorf("analyzer %q requires %q, which is not registered before it", an.Name, req.Name)
 			}
 		}
+	}
+}
+
+// TestLoaderHonorsBuildConstraints checks that the loader type-checks
+// the files this toolchain builds: a file constrained to older Go
+// versions is left out, and a race-only file is kept for atomicsafe.
+func TestLoaderHonorsBuildConstraints(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "guarded")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{
+		"new.go":  "//go:build go1.21\n\npackage guarded\n\nconst Engine = 1\n",
+		"old.go":  "//go:build !go1.21\n\npackage guarded\n\nvar _ = requiresNewerToolchain\n",
+		"race.go": "//go:build race\n\npackage guarded\n\nconst RaceOnly = 1\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := analysis.NewLoader(map[string]string{"": filepath.Dir(dir)}).Load("guarded")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if got := len(pkgs[0].Files); got != 2 {
+		t.Errorf("loaded %d files, want new.go and race.go", got)
+	}
+	if pkgs[0].Types.Scope().Lookup("RaceOnly") == nil {
+		t.Error("race-only file was left out")
 	}
 }

@@ -3,10 +3,12 @@
 // multiprocessor.
 //
 // The engine multiplexes any number of simulated threads, each with its
-// own virtual clock. Threads are backed by goroutines, but at most one
-// simulated thread executes at a time: the engine always resumes the
-// runnable thread with the globally minimum (clock, id) pair, so every
-// run is bit-for-bit reproducible regardless of the Go scheduler.
+// own virtual clock. Each thread runs on a coroutine (a pooled
+// iter.Pull "stack" that runs thread bodies back to back), and Run is
+// one dispatch loop that resumes the chosen thread's stack until the
+// thread yields. The engine always chooses the runnable thread with
+// the globally minimum (clock, id) pair, so every run is bit-for-bit
+// reproducible regardless of the Go scheduler.
 //
 // A simulated thread consumes virtual time by calling Advance, blocks by
 // calling Block, and is made runnable again when some other thread calls
@@ -14,24 +16,22 @@
 // protocol state) needs no locking: it is only ever touched by the single
 // currently-executing thread.
 //
-// Two scheduling optimizations keep the dispatch order — and therefore
-// every simulation result — bit-for-bit identical while eliding most of
-// the goroutine context switches:
-//
-//   - fast path: a thread that advances its clock and remains strictly
-//     the earliest runnable thread keeps executing in place (see
-//     Thread.Advance); Engine.SetFastPath disables this, leaving the
-//     reference scheduler the fast path must match.
-//   - direct handoff: a thread that does yield resumes the next
-//     runnable thread itself, without a round trip through the engine
-//     goroutine; the engine goroutine is woken only for termination,
-//     deadlock, or a thread-body panic.
+// A yielding thread chooses its successor itself (Engine.dispatchNext,
+// or the fused replace-top step in Thread.Advance) and then yields to
+// the dispatch loop, which resumes that successor. Run itself chooses
+// only when the yielding thread cannot: at termination, at deadlock,
+// after a panic, or with the fast path off. The fast path keeps
+// most steps from switching coroutines at all: a thread that advances
+// its clock and remains strictly the earliest runnable thread keeps
+// executing in place (see Thread.Advance). Engine.SetFastPath disables
+// it, leaving the reference scheduler the fast path must match; the
+// dispatch order, and therefore every simulation result, is identical
+// either way.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"platinum/internal/hist"
 	"platinum/internal/timeseries"
@@ -69,32 +69,26 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // is blocked and no thread can ever unblock them.
 var ErrDeadlock = errors.New("sim: deadlock: all non-daemon threads blocked")
 
-// errStopped is panicked inside a thread goroutine to unwind it when the
-// engine shuts down; it is recovered by the thread trampoline.
+// errStopped is panicked at a thread's yield point to unwind its body
+// when the engine shuts down; the thread's stack recovers it.
 type errStopped struct{}
 
 // Engine is a deterministic discrete-event scheduler for simulated
 // threads. The zero value is not usable; call NewEngine.
 type Engine struct {
 	ready    threadHeap
-	threads  map[int]*Thread
-	nextID   int
+	threads  []*Thread // indexed by id
 	now      Time
-	running  *Thread
-	nlive    int // non-daemon threads not yet finished
-	readyND  int // non-daemon threads currently in the ready heap
+	running  *Thread // the thread the dispatch loop resumes next, if any
+	nlive    int     // non-daemon threads not yet finished
+	readyND  int     // non-daemon threads currently in the ready heap
 	stopping bool
 	fastPath bool
 	fail     error // first thread-body panic, reported by Run
 
-	// wake returns control to the engine goroutine (blocked in Run or
-	// shutdown) when a yielding or finishing thread cannot hand off to
-	// another thread: simulation complete, deadlock, or panic.
-	wake chan struct{}
-
 	// fastSteps counts dispatches elided entirely (a thread kept
-	// executing without any goroutine switch); slowSteps counts real
-	// resumes of a parked thread goroutine. Exposed through Stats.
+	// executing without any coroutine switch); slowSteps counts real
+	// resumes of a suspended thread. Exposed through Stats.
 	fastSteps int64
 	slowSteps int64
 
@@ -112,11 +106,11 @@ type Engine struct {
 	seriesOn    bool
 	causeSeries *timeseries.Series
 
-	// pool holds finished Thread structs recycled by Reset. Their
-	// goroutines have exited and their resume channels are drained, so
-	// Spawn can reuse the struct and channel for a new thread, starting
-	// a fresh goroutine. Only structs are pooled, never goroutines.
-	pool []*Thread
+	// pool holds finished Thread structs recycled by Reset, and stacks
+	// the idle coroutines that run thread bodies. Both outlive Reset,
+	// so Spawn and the first dispatch of a thread reuse them.
+	pool   []*Thread
+	stacks *stackPool
 }
 
 // ThreadPanicError reports a simulated thread whose body panicked — for
@@ -151,11 +145,7 @@ func (e *Engine) pushReady(t *Thread) {
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{
-		threads:  make(map[int]*Thread),
-		fastPath: true,
-		wake:     make(chan struct{}),
-	}
+	return &Engine{fastPath: true, stacks: newStackPool()}
 }
 
 // SetFastPath enables or disables the scheduler fast path, under which
@@ -163,12 +153,12 @@ func NewEngine() *Engine {
 // it is still strictly the earliest runnable thread (so the dispatcher
 // would immediately re-select it anyway). The dispatch order — and
 // therefore every simulation result — is identical either way; only
-// the goroutine handoffs are elided. Enabled by default; Reset
+// the coroutine switches are elided. Enabled by default; Reset
 // enables it again.
 func (e *Engine) SetFastPath(on bool) { e.fastPath = on }
 
 // Stats reports scheduler counters: dispatches elided by the fast path
-// and full park/resume handoffs.
+// and full suspend/resume handoffs.
 func (e *Engine) Stats() (fastSteps, slowSteps int64) {
 	return e.fastSteps, e.slowSteps
 }
@@ -188,91 +178,53 @@ func (e *Engine) Spawn(name string, fn func(*Thread)) *Thread {
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
 	} else {
-		t = &Thread{resume: make(chan struct{})}
+		t = &Thread{}
 	}
-	t.engine = e
-	t.id = e.nextID
-	t.name = name
-	t.clock = e.now
-	t.daemon = false
-	t.state = stateReady
-	t.heapIdx = -1
-	t.born = e.now
-	t.acct = Account{}
-	t.node = -1
-	e.nextID++
-	e.threads[t.id] = t
+	*t = Thread{engine: e, id: len(e.threads), name: name, fn: fn, state: stateReady,
+		clock: e.now, born: e.now, heapIdx: -1, node: -1}
+	e.threads = append(e.threads, t)
 	e.nlive++
 	e.pushReady(t)
-
-	go func() {
-		t.park() // wait for first dispatch
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(errStopped); !ok {
-					// A real panic from the thread body: the simulated
-					// machine halts. Record it for Run and unwind.
-					if e.fail == nil {
-						e.fail = &ThreadPanicError{Thread: t.name, Value: r}
-					}
-				}
-			}
-			t.state = stateDone
-			if !t.daemon {
-				e.nlive--
-			}
-			// Hand the control token on: to the next runnable thread,
-			// or back to the engine goroutine (always the latter while
-			// shutting down, so shutdown's unwind loop regains control).
-			if e.stopping {
-				e.wake <- struct{}{}
-			} else {
-				e.dispatchNext(t)
-			}
-		}()
-		if e.stopping {
-			panic(errStopped{})
-		}
-		t.state = stateRunning
-		fn(t)
-	}()
 	return t
 }
 
-// dispatchNext transfers the control token held by thread from, which
-// has just yielded, blocked, or finished. If another thread is
-// dispatchable it is resumed directly — no round trip through the
-// engine goroutine. If the yielding thread itself is still the earliest
+// dispatchNext chooses the successor of thread from, which has just
+// yielded, blocked, or finished, and records it in e.running for the
+// dispatch loop to resume. If from itself is still the earliest
 // runnable thread, dispatchNext reports true and from keeps executing
-// without any goroutine switch. Otherwise (simulation over, deadlock,
-// a recorded panic, or the fast path disabled) the engine goroutine is
-// woken: with the fast path off every dispatch goes through the engine
-// loop, reproducing the reference scheduler for A/B testing.
+// without any coroutine switch. Otherwise (simulation over, deadlock,
+// a recorded panic, or the fast path disabled) it clears e.running and
+// Run decides: with the fast path off every dispatch goes through Run,
+// reproducing the reference scheduler for A/B testing.
 //
 //platinum:hotpath
 func (e *Engine) dispatchNext(from *Thread) bool {
 	if e.fastPath && e.fail == nil && e.nlive > 0 && e.readyND > 0 {
-		t := e.ready.pop()
-		if !t.daemon {
-			e.readyND--
-		}
-		if t.clock > e.now {
-			e.now = t.clock
-		}
-		e.running = t
-		if t == from {
-			e.fastSteps++
-			return true
-		}
-		t.state = stateRunning
-		e.slowSteps++
-		t.unpark()
-		return false
+		return e.dispatch(from)
 	}
-	// Simulation finished, every non-daemon thread blocked, or the
-	// machine halted on a panic: Run decides which.
 	e.running = nil
-	e.wake <- struct{}{}
+	return false
+}
+
+// dispatch pops the earliest ready thread and makes it the running
+// thread, reporting whether it is from (which then keeps executing).
+//
+//platinum:hotpath
+func (e *Engine) dispatch(from *Thread) bool {
+	t := e.ready.pop()
+	if !t.daemon {
+		e.readyND--
+	}
+	if t.clock > e.now {
+		e.now = t.clock
+	}
+	e.running = t
+	t.state = stateRunning
+	if t == from {
+		e.fastSteps++
+		return true
+	}
+	e.slowSteps++
 	return false
 }
 
@@ -292,51 +244,31 @@ func (e *Engine) Run() error {
 		if e.readyND == 0 {
 			return ErrDeadlock
 		}
-		t := e.ready.pop()
-		if t == nil {
-			return ErrDeadlock
+		// The dispatch loop: each resumed thread runs until it yields,
+		// having chosen its successor, or clears e.running for the
+		// checks above (termination, deadlock, or panic).
+		e.dispatch(nil)
+		for e.running != nil {
+			e.stacks.resume(e.running)
 		}
-		if !t.daemon {
-			e.readyND--
-		}
-		if t.clock > e.now {
-			e.now = t.clock
-		}
-		// Dispatch t and wait for the control token to come back.
-		// Threads hand off among themselves (dispatchNext); control
-		// returns here only for termination, deadlock, or panic.
-		e.running = t
-		t.state = stateRunning
-		e.slowSteps++
-		t.unpark()
-		<-e.wake
 	}
 	return e.fail
 }
 
-// shutdown unwinds every unfinished thread goroutine.
+// shutdown unwinds every unfinished thread, in id order.
 func (e *Engine) shutdown() {
 	e.stopping = true
-	// Deterministic order for unwinding.
-	ids := make([]int, 0, len(e.threads))
-	for id, t := range e.threads {
-		if t.state != stateDone {
-			ids = append(ids, id)
+	for _, t := range e.threads {
+		switch {
+		case t.state == stateDone:
+		case t.stack == nil:
+			t.finish() // never dispatched: its body never runs
+		default:
+			// The resumed thread's yield point panics with errStopped,
+			// unwinding its body; its stack then clears e.running.
+			e.running = t
+			e.stacks.resume(t)
 		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		t := e.threads[id]
-		if t.state == stateDone {
-			continue
-		}
-		// Resuming a stopping engine makes the thread's next yield point
-		// panic with errStopped, unwinding it; the thread's exit handler
-		// wakes us rather than dispatching.
-		e.running = t
-		t.unpark()
-		<-e.wake
-		e.running = nil
 	}
 }
 
@@ -346,14 +278,14 @@ func (e *Engine) Live() int { return e.nlive }
 // Reset returns the engine to its freshly-constructed state — virtual
 // time zero, no threads, thread ids restarting at 0 — while retaining
 // every buffer it has grown: the ready heap's backing array, the
-// per-node account slice, and the finished Thread structs (with their
-// resume channels), which go into a free list that Spawn draws from.
-// A reset engine behaves bit-for-bit identically to one from NewEngine;
-// only the allocations are elided.
+// per-node account slice, the idle stacks, and the finished Thread
+// structs, which go into a free list that Spawn draws from. A reset
+// engine behaves bit-for-bit identically to one from NewEngine; only
+// the allocations are elided.
 //
 // Reset may only be called after Run has returned (or before any thread
-// was spawned): every thread goroutine must have unwound. It panics if
-// an unfinished thread remains.
+// was spawned): every thread must have unwound. It panics if an
+// unfinished thread remains.
 func (e *Engine) Reset() {
 	for _, t := range e.threads {
 		if t.state != stateDone {
@@ -362,13 +294,13 @@ func (e *Engine) Reset() {
 		e.pool = append(e.pool, t)
 	}
 	clear(e.threads)
+	e.threads = e.threads[:0]
 	// The heap may still hold entries for finished daemon threads that
 	// were never popped; drop them, keeping the backing array.
 	for i := range e.ready.items {
 		e.ready.items[i] = nil
 	}
 	e.ready.items = e.ready.items[:0]
-	e.nextID = 0
 	e.now = 0
 	e.running = nil
 	e.nlive = 0

@@ -22,7 +22,8 @@ type Thread struct {
 	daemon bool
 	state  threadState
 
-	resume chan struct{} // dispatcher (engine or peer thread) -> thread: run
+	fn    func(*Thread) // body; cleared when the thread finishes
+	stack *stack        // coroutine running the body; nil before dispatch and after finish
 
 	heapIdx int // index in the ready heap, -1 if absent
 
@@ -69,33 +70,57 @@ func (t *Thread) SetDaemon(d bool) {
 	}
 }
 
-// park waits until a dispatcher hands this thread the control token.
+// exec runs t's body on its stack. It recovers a body panic, which
+// halts the simulated machine (Run reports it), and the errStopped
+// unwind of a stopping engine, so the stack survives both.
+func (t *Thread) exec() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(errStopped); !ok && t.engine.fail == nil {
+				t.engine.fail = &ThreadPanicError{Thread: t.name, Value: r}
+			}
+		}
+		t.finish()
+	}()
+	t.fn(t)
+}
+
+// finish marks t done and drops its body and stack, so a pooled Thread
+// does not keep the previous run's closure alive.
+func (t *Thread) finish() {
+	t.state = stateDone
+	t.fn, t.stack = nil, nil
+	if !t.daemon {
+		t.engine.nlive--
+	}
+}
+
+// park suspends t, yielding its stack to the dispatch loop, until the
+// loop resumes it (its dispatcher has already marked it running); in a
+// stopping engine t then unwinds.
 //
 //platinum:hotpath
-func (t *Thread) park() { <-t.resume }
+func (t *Thread) park() {
+	t.stack.yield(struct{}{})
+	if t.engine.stopping {
+		panic(errStopped{})
+	}
+}
 
-// unpark hands the control token to t, which is waiting in park (or on
-// its way there: the unbuffered send completes once it arrives).
-//
-//platinum:hotpath
-func (t *Thread) unpark() { t.resume <- struct{}{} }
-
-// yield hands the control token to the next runnable thread and parks
-// until dispatched again. If this thread is itself still the earliest
-// runnable thread, it keeps executing without parking at all.
+// yield chooses the next runnable thread and parks until dispatched
+// again. If this thread is itself still the earliest runnable thread,
+// it keeps executing without parking at all. A thread already
+// unwinding (a deferred call that yields) unwinds further instead.
 //
 //platinum:hotpath
 func (t *Thread) yield() {
 	e := t.engine
-	if e.dispatchNext(t) {
-		t.state = stateRunning
-		return
-	}
-	t.park()
 	if e.stopping {
 		panic(errStopped{})
 	}
-	t.state = stateRunning
+	if !e.dispatchNext(t) {
+		t.park()
+	}
 }
 
 // Advance consumes d of virtual time and yields to the scheduler, so any
@@ -105,8 +130,8 @@ func (t *Thread) yield() {
 // earliest runnable thread — the ready heap is empty, or its minimum
 // entry orders after (clock, id) — the dispatcher would pop this thread
 // right back, so Advance skips the park/resume handoff and returns with
-// the thread still running. This elides two goroutine context switches
-// per reference for any phase where one thread runs behind all others
+// the thread still running. This elides two coroutine switches per
+// reference for any phase where one thread runs behind all others
 // (in particular the whole of every 1-processor run) while leaving the
 // dispatch order bit-for-bit identical.
 //
@@ -131,7 +156,7 @@ func (t *Thread) Advance(d Time) {
 		if !t.daemon {
 			// Fused handoff: top orders before t, so push(t)+pop() would
 			// return exactly top. Swap t into top's slot with one
-			// sift-down and resume top directly. t being a live
+			// sift-down and make top the successor. t being a live
 			// non-daemon guarantees the dispatcher's liveness conditions
 			// (nlive > 0, a non-daemon ready) hold.
 			u := e.ready.replaceTop(t)
@@ -145,12 +170,7 @@ func (t *Thread) Advance(d Time) {
 			e.running = u
 			u.state = stateRunning
 			e.slowSteps++
-			u.unpark()
 			t.park()
-			if e.stopping {
-				panic(errStopped{})
-			}
-			t.state = stateRunning
 			return
 		}
 	}
