@@ -1,9 +1,9 @@
 package platinum
 
 // Alloc-regression gates for the pooled simulation core: the engine
-// step (Advance, both the fast path and the fused handoff), span
-// Begin/End recording, and account charging must not allocate in
-// steady state. These are the invariants the pooling/arena design
+// step (Advance, both the fast path and the fused handoff, and the
+// merged handoff of an owed AdvanceLater), span Begin/End recording,
+// and account charging must not allocate in steady state. These are the invariants the pooling/arena design
 // bought; testing.AllocsPerRun pins them so they cannot silently rot.
 // The platinum/hotalloc vet analyzer enforces the same property
 // statically; this file enforces it against the compiler's actual
@@ -90,6 +90,43 @@ func TestHandoffZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("fused-handoff Advance allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestMergedHandoffZeroAlloc pins the merged handoff — an owed
+// AdvanceLater taken by the next Advance, two threads in lockstep — at
+// zero allocations.
+func TestMergedHandoffZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates; run without -race")
+	}
+	var allocs float64
+	done := false
+	step := func(th *sim.Thread) {
+		th.AdvanceLater(100) // the peer is earlier: owed
+		th.Advance(50)       // one handoff for both
+	}
+	e := sim.NewEngine()
+	e.Spawn("meter", func(th *sim.Thread) {
+		for i := 0; i < 100; i++ {
+			step(th) // warm-up handoffs
+		}
+		allocs = testing.AllocsPerRun(200, func() { step(th) })
+		done = true
+	})
+	e.Spawn("peer", func(th *sim.Thread) {
+		for !done { // safe without host synchronization; see TestHandoffZeroAlloc
+			th.Advance(150)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, slow := e.Stats(); slow < 2*300 {
+		t.Errorf("slowSteps = %d, want >= 600: the meter's steps did not hand off", slow)
+	}
+	if allocs != 0 {
+		t.Errorf("merged AdvanceLater+Advance handoff allocates %v per op, want 0", allocs)
 	}
 }
 

@@ -217,17 +217,25 @@ func parseDur(s string) float64 {
 //     Advance returns without any goroutine switch;
 //   - handoff: eight threads in lockstep, every Advance a fused
 //     replace-top handoff to the next thread;
-//   - nofastpath: the same lockstep workload on the reference
-//     scheduler (Engine.SetFastPath(false)).
+//   - merged: the same lockstep threads, each op an AdvanceLater(100)
+//     (owed: the others are earlier) then an Advance(50) that takes
+//     both dispatch points in one handoff;
+//   - nofastpath: the handoff workload on the reference scheduler
+//     (Engine.SetFastPath(false)).
 func BenchmarkEngineStep(b *testing.B) {
-	run := func(b *testing.B, threads int, fastPath bool) {
+	advance := func(th *sim.Thread) { th.Advance(100) }
+	merged := func(th *sim.Thread) {
+		th.AdvanceLater(100)
+		th.Advance(50)
+	}
+	run := func(b *testing.B, threads int, fastPath bool, op func(*sim.Thread)) {
 		e := sim.NewEngine()
 		e.SetFastPath(fastPath)
 		for t := 0; t < threads; t++ {
 			n := b.N / threads
 			e.Spawn("w", func(th *sim.Thread) {
 				for i := 0; i < n; i++ {
-					th.Advance(100)
+					op(th)
 				}
 			})
 		}
@@ -236,9 +244,10 @@ func BenchmarkEngineStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("fastpath-eligible", func(b *testing.B) { run(b, 1, true) })
-	b.Run("handoff", func(b *testing.B) { run(b, 8, true) })
-	b.Run("nofastpath", func(b *testing.B) { run(b, 8, false) })
+	b.Run("fastpath-eligible", func(b *testing.B) { run(b, 1, true, advance) })
+	b.Run("handoff", func(b *testing.B) { run(b, 8, true, advance) })
+	b.Run("merged", func(b *testing.B) { run(b, 8, true, merged) })
+	b.Run("nofastpath", func(b *testing.B) { run(b, 8, false, advance) })
 }
 
 // BenchmarkTouchATCHit measures the coherent memory fast path.

@@ -204,7 +204,7 @@ func emitCallName(pass *Pass, call *ast.CallExpr) string {
 		return "json.Encoder.Encode"
 	case pathHasSuffix(path, "internal/sim"):
 		switch name {
-		case "Advance", "AdvanceTo", "Charge", "Attribute", "Yield",
+		case "Advance", "AdvanceTo", "AdvanceLater", "Sync", "Charge", "Attribute", "Yield",
 			"Block", "Unblock", "Spawn", "Run":
 			return "sim." + recvQual(fn) + name
 		}

@@ -35,6 +35,13 @@ func mapCharge(t *sim.Thread, costs map[int]sim.Time) {
 	}
 }
 
+func mapAdvanceLater(t *sim.Thread, costs map[int]sim.Time) {
+	for _, d := range costs { // want `range over map calls sim\.Thread\.AdvanceLater`
+		t.AdvanceLater(d)
+		t.Sync()
+	}
+}
+
 func sortedPrint(m map[string]int) {
 	// The fix the analyzer demands: collect, sort, then emit.
 	keys := make([]string, 0, len(m))

@@ -35,5 +35,11 @@ func (t *Thread) Attribute(c Cause, d Time) {}
 // Advance moves the thread's clock forward.
 func (t *Thread) Advance(d Time) { t.now += d }
 
+// AdvanceLater moves the clock forward and owes the handoff.
+func (t *Thread) AdvanceLater(d Time) { t.now += d }
+
+// Sync takes an owed handoff.
+func (t *Thread) Sync() {}
+
 // Now returns the thread's clock.
 func (t *Thread) Now() Time { return t.now }

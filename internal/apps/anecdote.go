@@ -61,15 +61,21 @@ func RunAnecdote(cfg AnecdoteConfig) (AnecdoteResult, error) {
 	if err != nil {
 		return AnecdoteResult{}, err
 	}
+	return runAnecdote(k, cfg)
+}
+
+// runAnecdote runs the workload on k, a freshly booted kernel whose
+// defrost period is cfg.Defrost.
+func runAnecdote(k *kernel.Kernel, cfg AnecdoteConfig) (AnecdoteResult, error) {
 	sp := k.NewSpace()
 
 	var sizeVA, lockVA int64
+	var err error
 	if cfg.Colocate {
-		base, err := sp.AllocWords("size+lock", 2, core.Read|core.Write)
-		if err != nil {
+		if sizeVA, err = sp.AllocWords("size+lock", 2, core.Read|core.Write); err != nil {
 			return AnecdoteResult{}, err
 		}
-		sizeVA, lockVA = base, base+1
+		lockVA = sizeVA + 1
 	} else {
 		if sizeVA, err = sp.AllocWords("size", 1, core.Read|core.Write); err != nil {
 			return AnecdoteResult{}, err

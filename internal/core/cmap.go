@@ -162,6 +162,7 @@ func (cm *Cmap) DiscardUnused(vpn int64) error {
 // Remove unbinds vpn, invalidating every processor's translation for it.
 // The caller is a kernel thread; shootdown costs are charged to it.
 func (cm *Cmap) Remove(t *sim.Thread, proc int, vpn int64) error {
+	t.Sync()
 	e := cm.entries[vpn]
 	if e == nil {
 		return fmt.Errorf("core: vpn %d not mapped in cmap %d", vpn, cm.id)
@@ -197,6 +198,9 @@ func (cm *Cmap) Remove(t *sim.Thread, proc int, vpn int64) error {
 // pending changes before running any thread in the address space).
 // Activation nests; matching Deactivate calls are required.
 func (cm *Cmap) Activate(t *sim.Thread, proc int) {
+	if t != nil {
+		t.Sync()
+	}
 	cm.actives[proc]++
 	if cm.actives[proc] > 1 {
 		return

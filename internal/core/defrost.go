@@ -20,6 +20,7 @@ import (
 // calling thread, which runs on processor proc. It returns the number of
 // pages thawed.
 func (s *System) DefrostSweep(t *sim.Thread, proc int) int {
+	t.Sync()
 	if len(s.frozen) == 0 {
 		return 0
 	}
@@ -39,6 +40,7 @@ func (s *System) DefrostSweep(t *sim.Thread, proc int) int {
 // now - frozenAt < minAge, i.e. frozenAt + minAge > now), so a caller
 // sleeping until next can never busy-loop on an already-due wakeup.
 func (s *System) DefrostDue(t *sim.Thread, proc int, minAge sim.Time) (thawed int, next sim.Time) {
+	t.Sync()
 	now := t.Now()
 	sweepID := s.rec.Alloc()
 	s.spanParent = sweepID

@@ -29,8 +29,13 @@ func (s *System) Touch(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool)
 // the resolution guarantees the protocol's serialization (the Cpage
 // handler lock) also serializes the data, exactly as in-flight accesses
 // complete before an invalidation is acknowledged on real hardware.
+//
+// Resolve takes any handoff t owes before touching protocol state, and
+// owes the handoff of its own charge (sim.Thread.AdvanceLater) to the
+// memory access that follows.
 func (s *System) Resolve(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	apply func(words []uint32)) (Copy, error) {
+	t.Sync()
 	want := Read
 	if write {
 		want = Write
@@ -48,7 +53,7 @@ func (s *System) Resolve(t *sim.Thread, proc int, cm *Cmap, vpn int64, write boo
 			s.rec.Record(span.Span{Kind: span.KindIRQPenalty, Start: now, End: now + pen,
 				Proc: proc, Track: t.ID(), Page: -1, Cause: sim.CauseShootdown, Self: pen})
 			t.Attribute(sim.CauseShootdown, pen)
-			t.Advance(pen)
+			t.AdvanceLater(pen)
 		}
 		return pe.copy, nil
 	}
@@ -81,7 +86,7 @@ func (s *System) Resolve(t *sim.Thread, proc int, cm *Cmap, vpn int64, write boo
 		t.Attribute(sim.CauseShootdown, pen)
 		t.Attribute(sim.CausePmapWalk, walk)
 		t.Attribute(sim.CauseFault, reload)
-		t.Advance(pen + walk + reload)
+		t.AdvanceLater(pen + walk + reload)
 		return pe.copy, nil
 	}
 	return s.fault(t, proc, cm, vpn, write, pen, walk, apply)
@@ -207,7 +212,7 @@ func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 		Self:  total - classified - s.fcSpanned,
 		State: cp.state.String(), DirMask: cp.dirMask.Lo(), Note: kind.String()})
 	s.spanFlush()
-	t.Advance(total)
+	t.AdvanceLater(total)
 	return c, nil
 }
 

@@ -251,8 +251,12 @@ func (s *System) flushBatch(initiator, prior int) (delay sim.Time, interrupted i
 // target's whole pending set on its next kernel entry), so the first
 // activation after deferral pays for all of it.
 func (s *System) batchActivate(t *sim.Thread, proc int) {
+	if t == nil {
+		return
+	}
+	t.Sync()
 	n := s.batchPend[proc]
-	if n == 0 || t == nil {
+	if n == 0 {
 		return
 	}
 	s.batchPend[proc] = 0

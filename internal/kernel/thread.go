@@ -44,6 +44,7 @@ func (k *Kernel) Spawn(name string, proc int, sp *Space, body func(*Thread)) *Th
 		t.beginSlice()
 		sp.vs.Cmap().Activate(st, t.proc)
 		defer func() {
+			st.Sync()
 			t.endSlice()
 			if err := sp.vs.Cmap().Deactivate(t.proc); err != nil {
 				panic(fmt.Sprintf("kernel: %v", err))
@@ -102,6 +103,7 @@ func (t *Thread) Migrate(proc int) {
 	if proc == t.proc {
 		return
 	}
+	t.st.Sync()
 	old := t.proc
 	t.endSlice()
 	if err := t.space.vs.Cmap().Deactivate(old); err != nil {
@@ -120,6 +122,7 @@ func (t *Thread) Migrate(proc int) {
 
 // Join blocks until other's body has returned.
 func (t *Thread) Join(other *Thread) {
+	t.st.Sync()
 	if other.done {
 		t.st.Yield()
 		return

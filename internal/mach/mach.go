@@ -365,7 +365,12 @@ func (m *Machine) SetSpanRecorder(r *span.Recorder) { m.rec = r }
 // attributed to CauseLocalAccess or CauseRemoteAccess and the queueing
 // delay to CauseQueue, so the cost breakdown separates reference cost
 // from module contention.
+//
+// Access takes any handoff t owes before reading module state, and
+// owes its own closing one (sim.Thread.AdvanceLater): a Compute or spin
+// backoff that follows merges with it.
 func (m *Machine) Access(t *sim.Thread, proc, mod, n int, write bool) sim.Time {
+	t.Sync()
 	if n <= 0 {
 		return 0
 	}
@@ -405,7 +410,7 @@ func (m *Machine) Access(t *sim.Thread, proc, mod, n int, write bool) sim.Time {
 			NoteFmt: "module %d busy", NoteArg0: mod, NoteN: 1})
 	}
 	total := queue + lat + retry
-	t.Advance(total)
+	t.AdvanceLater(total)
 	return total
 }
 
@@ -441,6 +446,7 @@ func (m *Machine) AccessFree(now sim.Time, proc, mod, n int, write bool) sim.Tim
 // for the full duration; the transfer cannot start until both are free.
 // It returns the total delay (queueing + transfer).
 func (m *Machine) BlockTransfer(t *sim.Thread, src, dst, words int) sim.Time {
+	t.Sync()
 	return m.blockTransferAt(t, t.Now(), src, dst, words, true)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"platinum/internal/sim"
@@ -70,9 +71,27 @@ type topoTier struct {
 	WriteMul int    `json:"write_mul"`
 }
 
+// A topology file is untrusted input, so the loader bounds it to
+// machines the simulator can build and whose costs cannot overflow
+// virtual time (TOPOLOGY.md, "Loader limits").
+const (
+	maxTopoNodes     = 1024
+	maxTopoPageWords = 1 << 16
+	maxTopoNS        = 1_000_000       // any cost constant or per-word switch time: 1 ms
+	maxTopoMul       = 100 * DistScale // any distance or tier multiplier: 100x
+)
+
+// checkRange reports an error naming field when v lies outside [0, max].
+func checkRange(field string, v, max int) error {
+	if v < 0 || v > max {
+		return fmt.Errorf("mach: topology: %s = %d, must be in [0, %d]", field, v, max)
+	}
+	return nil
+}
+
 // ParseTopology decodes the JSON topology format specified in
-// TOPOLOGY.md and returns a validated Topology. Unknown fields are
-// errors.
+// TOPOLOGY.md and returns a validated Topology. Unknown fields and
+// values outside the loader limits are errors.
 func ParseTopology(data []byte) (*Topology, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -80,8 +99,7 @@ func ParseTopology(data []byte) (*Topology, error) {
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("mach: topology: %w", err)
 	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("mach: topology: trailing data after JSON object")
 	}
 
@@ -94,6 +112,12 @@ func ParseTopology(data []byte) (*Topology, error) {
 	default:
 		return nil, fmt.Errorf("mach: topology: unknown base %q (want \"butterfly-plus\" or \"butterfly-1\")", f.Base)
 	}
+	if err := checkRange("nodes", f.Nodes, maxTopoNodes); err != nil {
+		return nil, err
+	}
+	if err := checkRange("page_words", f.PageWords, maxTopoPageWords); err != nil {
+		return nil, err
+	}
 	if f.Nodes != 0 {
 		base.Nodes = f.Nodes
 	}
@@ -101,21 +125,31 @@ func ParseTopology(data []byte) (*Topology, error) {
 		base.PageWords = f.PageWords
 	}
 	if l := f.Latencies; l != nil {
-		setNS := func(dst *sim.Time, ns int) {
+		var bad error
+		setNS := func(field string, dst *sim.Time, ns int) {
+			if err := checkRange("latencies_ns."+field, ns, maxTopoNS); err != nil && bad == nil {
+				bad = err
+			}
 			if ns != 0 {
 				*dst = sim.Time(ns) * sim.Nanosecond
 			}
 		}
-		setNS(&base.LocalRead, l.LocalRead)
-		setNS(&base.LocalWrite, l.LocalWrite)
-		setNS(&base.RemoteRead, l.RemoteRead)
-		setNS(&base.RemoteWrite, l.RemoteWrite)
-		setNS(&base.BlockCopyPerWord, l.BlockCopyPerWord)
-		setNS(&base.LocalOccupancy, l.LocalOccupancy)
-		setNS(&base.RemoteOccupancy, l.RemoteOccupancy)
-		setNS(&base.InterruptDispatch, l.InterruptDispatch)
-		setNS(&base.InterruptHandle, l.InterruptHandle)
-		setNS(&base.ATCReload, l.ATCReload)
+		setNS("local_read", &base.LocalRead, l.LocalRead)
+		setNS("local_write", &base.LocalWrite, l.LocalWrite)
+		setNS("remote_read", &base.RemoteRead, l.RemoteRead)
+		setNS("remote_write", &base.RemoteWrite, l.RemoteWrite)
+		setNS("block_copy_per_word", &base.BlockCopyPerWord, l.BlockCopyPerWord)
+		setNS("local_occupancy", &base.LocalOccupancy, l.LocalOccupancy)
+		setNS("remote_occupancy", &base.RemoteOccupancy, l.RemoteOccupancy)
+		setNS("interrupt_dispatch", &base.InterruptDispatch, l.InterruptDispatch)
+		setNS("interrupt_handle", &base.InterruptHandle, l.InterruptHandle)
+		setNS("atc_reload", &base.ATCReload, l.ATCReload)
+		if bad == nil {
+			bad = checkRange("latencies_ns.block_xfer_occupancy_permille", l.BlockXferOccupancy, 1000)
+		}
+		if bad != nil {
+			return nil, bad
+		}
 		if l.BlockXferOccupancy != 0 {
 			base.BlockXferOccupancy = l.BlockXferOccupancy
 		}
@@ -125,6 +159,14 @@ func ParseTopology(data []byte) (*Topology, error) {
 	n := base.Nodes
 
 	if d := f.Distance; d != nil {
+		for _, c := range []struct {
+			field string
+			v     int
+		}{{"near", d.Near}, {"far", d.Far}, {"local", d.Local}} {
+			if err := checkRange("distance."+c.field, c.v, maxTopoMul); err != nil {
+				return nil, err
+			}
+		}
 		switch d.Kind {
 		case "", "uniform":
 			// nil Distance: the uniform machine.
@@ -167,6 +209,11 @@ func ParseTopology(data []byte) (*Topology, error) {
 				if len(row) != n {
 					return nil, fmt.Errorf("mach: topology: distance row %d has %d entries, want %d", i, len(row), n)
 				}
+				for _, v := range row {
+					if v > maxTopoMul {
+						return nil, fmt.Errorf("mach: topology: distance row %d entry %d exceeds %d", i, v, maxTopoMul)
+					}
+				}
 				t.Distance = append(t.Distance, row...)
 			}
 		default:
@@ -195,6 +242,9 @@ func ParseTopology(data []byte) (*Topology, error) {
 		if l.PerWordNS < 0 {
 			return nil, fmt.Errorf("mach: topology: switch level %d has negative per_word_ns", li)
 		}
+		if l.PerWordNS > maxTopoNS {
+			return nil, fmt.Errorf("mach: topology: switch level %d per_word_ns %d exceeds %d", li, l.PerWordNS, maxTopoNS)
+		}
 		lvl.PerWord = sim.Time(l.PerWordNS) * sim.Nanosecond
 		t.Levels = append(t.Levels, lvl)
 	}
@@ -205,6 +255,9 @@ func ParseTopology(data []byte) (*Topology, error) {
 		for ti, tier := range f.Tiers {
 			if len(tier.NodeList) == 0 {
 				return nil, fmt.Errorf("mach: topology: tier %d (%q) lists no nodes", ti, tier.Name)
+			}
+			if tier.ReadMul > maxTopoMul || tier.WriteMul > maxTopoMul {
+				return nil, fmt.Errorf("mach: topology: tier %q multiplier exceeds %d", tier.Name, maxTopoMul)
 			}
 			for _, node := range tier.NodeList {
 				if node < 0 || node >= n {

@@ -263,6 +263,17 @@ func TestParseTopology(t *testing.T) {
 	}{
 		{"unknown field", `{"nodse": 4}`, "unknown field"},
 		{"trailing data", `{"nodes": 4} {"nodes": 8}`, "trailing data"},
+		{"trailing garbage", `{"nodes": 4}, "x"`, "trailing data"},
+		{"negative nodes", `{"nodes": -1, "tiers": [{"name": "a", "nodes": [0]}]}`, "nodes = -1"},
+		{"too many nodes", `{"nodes": 100000}`, "nodes = 100000"},
+		{"huge page", `{"page_words": 16777216}`, "page_words"},
+		{"negative latency", `{"latencies_ns": {"atc_reload": -5}}`, "atc_reload"},
+		{"huge latency", `{"latencies_ns": {"block_copy_per_word": 9000000000}}`, "block_copy_per_word"},
+		{"occupancy over 1000", `{"latencies_ns": {"block_xfer_occupancy_permille": 5000}}`, "permille"},
+		{"huge far", `{"nodes": 4, "distance": {"kind": "clusters", "cluster_size": 2, "far": 1000000000}}`, "distance.far"},
+		{"huge matrix entry", `{"nodes": 2, "distance": {"kind": "matrix", "rows": [[1000, 999999999], [999999999, 1000]]}}`, "exceeds"},
+		{"huge per-word", `{"nodes": 4, "switch_levels": [{"cluster_size": 2, "per_word_ns": 2000000000}]}`, "per_word_ns"},
+		{"huge tier multiplier", `{"nodes": 2, "tiers": [{"name": "a", "nodes": [0], "read_mul": 1000000000}]}`, "multiplier exceeds"},
 		{"unknown base", `{"base": "hypercube"}`, "unknown base"},
 		{"unknown distance kind", `{"distance": {"kind": "torus"}}`, "unknown distance kind"},
 		{"clusters without far", `{"nodes": 4, "distance": {"kind": "clusters", "cluster_size": 2}}`, "far"},

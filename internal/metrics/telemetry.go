@@ -152,7 +152,7 @@ type SeriesWindow struct {
 
 // SeriesMetrics is the report's "series" section: rate curves over
 // simulated time in fixed-width windows. SpilledWindows counts windows
-// evicted from the retained rings (their contents are preserved in the
+// below the retained rings' range (their contents are preserved in the
 // sources' spill accumulators but not listed here); zero means the
 // listing is complete.
 type SeriesMetrics struct {

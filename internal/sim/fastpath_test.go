@@ -6,7 +6,10 @@ import (
 )
 
 // traceWorkload runs a mixed workload (advances, yields, block/unblock,
-// mid-run spawns, a daemon) and returns the observed dispatch trace.
+// mid-run spawns, a daemon, and owed handoffs from AdvanceLater taken by
+// each kind of engine call) and returns the observed dispatch trace.
+// Notes are taken only at dispatch points: between an AdvanceLater and
+// the call that takes its handoff, Engine.Now legitimately differs.
 func traceWorkload(fastPath bool) ([]string, error) {
 	e := NewEngine()
 	e.SetFastPath(fastPath)
@@ -46,6 +49,79 @@ func traceWorkload(fastPath bool) ([]string, error) {
 				}
 				th.Yield()
 			}
+		})
+	}
+	// Owed handoffs, each taken by a different call. The lag threads
+	// start behind the workers above, so their AdvanceLater calls are
+	// usually not the earliest and owe the handoff.
+	lagDaemon := e.Spawn("lag-daemon", func(th *Thread) {
+		for {
+			th.AdvanceLater(40)
+			th.Advance(30)
+			note(th)
+		}
+	})
+	lagDaemon.SetDaemon(true)
+	var lagSleeper *Thread
+	lagSleeper = e.Spawn("lag-sleeper", func(th *Thread) {
+		th.AdvanceLater(25)
+		th.Block()
+		note(th)
+		th.AdvanceLater(8) // body exit takes this handoff
+	})
+	// A wake-up that arrives while the sleeper's handoff is owed finds
+	// it not yet blocked, as the eager scheduler would.
+	var early *Thread
+	early = e.Spawn("early-sleeper", func(th *Thread) {
+		th.AdvanceLater(25)
+		th.Block()
+		note(th)
+	})
+	e.Spawn("waker", func(th *Thread) {
+		th.Advance(10)
+		trace = append(trace, fmt.Sprintf("waker unblocks early-sleeper at %d: %t", th.Now(), early.Unblock(th.Now())))
+		th.Advance(100)
+		trace = append(trace, fmt.Sprintf("waker unblocks early-sleeper at %d: %t", th.Now(), early.Unblock(th.Now())))
+	})
+	// The last thread to exit owes a long handoff: the daemons keep
+	// running until it is taken.
+	e.Spawn("tail", func(th *Thread) {
+		th.Advance(2000)
+		note(th)
+		th.AdvanceLater(500)
+	})
+	for i := 0; i < 3; i++ {
+		i := i
+		e.Spawn(fmt.Sprintf("l%d", i), func(th *Thread) {
+			for j := 0; j < 7; j++ {
+				th.AdvanceLater(Time(9*i + 11*j + 1))
+				switch j {
+				case 0:
+					th.Advance(Time(5 * i))
+				case 1:
+					th.Yield()
+				case 2:
+					th.Sync()
+				case 3:
+					if i == 0 {
+						lagSleeper.Unblock(th.Now())
+					} else {
+						th.Sync()
+					}
+				case 4:
+					e.Spawn(fmt.Sprintf("l%d-late", i), func(lt *Thread) {
+						lt.AdvanceLater(6)
+						lt.Advance(3)
+						note(lt)
+					})
+				case 5:
+					th.Charge(CauseCompute, Time(4*i+2))
+				case 6:
+					th.AdvanceTo(th.Now() + Time(i))
+				}
+				note(th)
+			}
+			th.AdvanceLater(Time(12 - i)) // body exit takes this handoff
 		})
 	}
 	err := e.Run()
@@ -93,6 +169,37 @@ func TestFastPathStats(t *testing.T) {
 	}
 	if slowSteps != 1 {
 		t.Errorf("slowSteps = %d, want 1 (the initial dispatch)", slowSteps)
+	}
+}
+
+// TestAdvanceLaterMerges pins the merge: a thread that is not the
+// earliest, doing AdvanceLater then Advance, costs exactly one handoff
+// where two Advances cost two.
+func TestAdvanceLaterMerges(t *testing.T) {
+	slowSteps := func(later bool) int64 {
+		e := NewEngine()
+		e.Spawn("a", func(th *Thread) {
+			if later {
+				th.AdvanceLater(100) // b at 0 is earlier: owed
+			} else {
+				th.Advance(100)
+			}
+			th.Advance(50)
+		})
+		e.Spawn("b", func(th *Thread) { th.Advance(120) })
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		_, slow := e.Stats()
+		return slow
+	}
+	// Eager: a's first dispatch, a->b, b->a at 100, a->b at 150, b's
+	// exit -> a. Merged: a's first dispatch, a->b at 150, b's exit -> a.
+	if got := slowSteps(false); got != 5 {
+		t.Errorf("Advance, Advance: slowSteps = %d, want 5", got)
+	}
+	if got := slowSteps(true); got != 3 {
+		t.Errorf("AdvanceLater, Advance: slowSteps = %d, want 3 (one handoff for the pair)", got)
 	}
 }
 

@@ -27,6 +27,15 @@
 // it, leaving the reference scheduler the fast path must match; the
 // dispatch order, and therefore every simulation result, is identical
 // either way.
+//
+// A memory reference's closing charge goes one step further
+// (Thread.AdvanceLater): a thread that is no longer the earliest keeps
+// executing and owes the handoff, which its next Advance takes merged
+// with its own, or Sync takes alone. The sync rule keeps this exact:
+// between an owed handoff and its next dispatch point a thread runs only
+// thread-private work. Every engine call another thread can observe
+// (Block, Spawn, Unblock, body exit) and every layer entry that reads or
+// writes shared simulated state calls Sync first.
 package sim
 
 import (
@@ -170,8 +179,11 @@ func (e *Engine) Now() Time { return e.now }
 // Spawn creates a new simulated thread whose body is fn, with its clock
 // initialized to the current virtual time. The thread does not run until
 // Run dispatches it. Spawn may be called before Run or from inside a
-// running thread.
+// running thread, which first takes any handoff it owes (Sync).
 func (e *Engine) Spawn(name string, fn func(*Thread)) *Thread {
+	if e.running != nil {
+		e.running.Sync()
+	}
 	var t *Thread
 	if n := len(e.pool); n > 0 {
 		t = e.pool[n-1]
@@ -204,6 +216,27 @@ func (e *Engine) dispatchNext(from *Thread) bool {
 	}
 	e.running = nil
 	return false
+}
+
+// earliest reports whether the running thread t orders strictly before
+// every ready thread by (clock, id), so the dispatcher would pop it
+// right back.
+//
+//platinum:hotpath
+func (e *Engine) earliest(t *Thread) bool {
+	top := e.ready.peek()
+	return top == nil || t.clock < top.clock || (t.clock == top.clock && t.id < top.id)
+}
+
+// fastStep records a dispatch the fast path elides: t, still the
+// earliest, keeps executing.
+//
+//platinum:hotpath
+func (e *Engine) fastStep(t *Thread) {
+	if t.clock > e.now {
+		e.now = t.clock
+	}
+	e.fastSteps++
 }
 
 // dispatch pops the earliest ready thread and makes it the running

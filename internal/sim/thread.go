@@ -27,6 +27,11 @@ type Thread struct {
 
 	heapIdx int // index in the ready heap, -1 if absent
 
+	// owed is set while the thread runs past a dispatch point it has
+	// not taken yet (see AdvanceLater); its next Advance or Sync takes
+	// it.
+	owed bool
+
 	// Cost attribution (see account.go): born is the clock at Spawn,
 	// acct the per-cause time consumed since, node the processor whose
 	// engine-level account also receives this thread's charges (-1:
@@ -83,6 +88,7 @@ func (t *Thread) exec() {
 		t.finish()
 	}()
 	t.fn(t)
+	t.Sync()
 }
 
 // finish marks t done and drops its body and stack, so a pooled Thread
@@ -142,15 +148,11 @@ func (t *Thread) Advance(d Time) {
 	}
 	t.clock += d
 	t.bank(CauseUnattributed, d)
+	t.owed = false
 	e := t.engine
 	if e.fastPath && e.running == t && !e.stopping {
-		top := e.ready.peek()
-		if top == nil ||
-			t.clock < top.clock || (t.clock == top.clock && t.id < top.id) {
-			if t.clock > e.now {
-				e.now = t.clock
-			}
-			e.fastSteps++
+		if e.earliest(t) {
+			e.fastStep(t)
 			return
 		}
 		if !t.daemon {
@@ -179,6 +181,50 @@ func (t *Thread) Advance(d Time) {
 	t.yield()
 }
 
+// AdvanceLater consumes d of virtual time like Advance but, when the
+// thread is no longer the earliest runnable thread, owes the handoff
+// instead of taking it: the thread keeps executing, and its next
+// Advance (or Charge, Yield) takes the owed handoff merged with its own
+// dispatch point — one coroutine switch instead of two. Sync takes it
+// when no such call follows.
+//
+// The merge pops the same (clock, id) sequence as taking both handoffs
+// eagerly, provided the thread runs only thread-private work between
+// AdvanceLater and its next dispatch point: nothing another simulated
+// thread can observe. Every engine call that can be observed (Block,
+// Spawn, Unblock, body exit) and every layer entry that reads or writes
+// shared simulated state calls Sync first.
+//
+// With the fast path off AdvanceLater is plain Advance, so the
+// reference scheduler stays the eager oracle.
+//
+//platinum:hotpath
+func (t *Thread) AdvanceLater(d Time) {
+	e := t.engine
+	if d < 0 || !e.fastPath || e.running != t || e.stopping {
+		t.Advance(d) // the eager step, which also rejects a negative d
+		return
+	}
+	t.clock += d
+	t.bank(CauseUnattributed, d)
+	t.owed = !e.earliest(t)
+	if !t.owed {
+		e.fastStep(t)
+	}
+}
+
+// Sync takes the handoff an earlier AdvanceLater owes, if any, so the
+// thread resumes exactly where the eager scheduler would have
+// dispatched it. Call it before reading or writing state another
+// simulated thread can see.
+//
+//platinum:hotpath
+func (t *Thread) Sync() {
+	if t.owed {
+		t.Advance(0)
+	}
+}
+
 // AdvanceTo advances the thread's clock to at least instant.
 //
 //platinum:hotpath
@@ -195,10 +241,12 @@ func (t *Thread) AdvanceTo(instant Time) {
 //platinum:hotpath
 func (t *Thread) Yield() { t.Advance(0) }
 
-// Block parks the thread until another thread calls Unblock on it.
+// Block parks the thread until another thread calls Unblock on it,
+// first taking any owed handoff (Sync).
 //
 //platinum:hotpath
 func (t *Thread) Block() {
+	t.Sync()
 	t.state = stateBlocked
 	t.yield()
 }
@@ -207,10 +255,15 @@ func (t *Thread) Block() {
 // to at least wake (a blocked thread cannot resume before the event that
 // woke it). The clock jump is attributed to CauseSync — it is time the
 // thread spent blocked. Unblocking a thread that is not blocked is a
-// no-op and reports false.
+// no-op and reports false. The calling thread first takes any handoff
+// it owes (Sync), so it unblocks t at the point the eager scheduler
+// would have.
 //
 //platinum:hotpath
 func (t *Thread) Unblock(wake Time) bool {
+	if r := t.engine.running; r != nil {
+		r.Sync()
+	}
 	if t.state != stateBlocked {
 		return false
 	}

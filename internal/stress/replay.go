@@ -171,6 +171,9 @@ func (w *world) step(th *sim.Thread, op Op, res *Result) error {
 			return err
 		}
 	}
+	// The checks below (and the next op's Deactivate) read state the
+	// defrost daemon shares: take any handoff the op left owed first.
+	th.Sync()
 	w.maybeInjectBug()
 	if err := w.sys.Validate(); err != nil {
 		return err

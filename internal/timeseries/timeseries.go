@@ -41,9 +41,7 @@ type Series struct {
 
 	// spill accumulates, per column, everything that fell off the ring:
 	// rows evicted when the ring advanced and adds older than lo.
-	// spilled counts evicted windows.
-	spill   []int64
-	spilled int64
+	spill []int64
 
 	// Current-window cache for the Add fast path: while at stays inside
 	// [curStart, curStart+width) the add is one compare and one indexed
@@ -98,7 +96,7 @@ func (s *Series) Reconfigure(width int64, cols, capWindows int) {
 		s.spill = s.spill[:cols]
 		clear(s.spill)
 	}
-	s.lo, s.hi, s.n, s.spilled = 0, 0, 0, 0
+	s.lo, s.hi, s.n = 0, 0, 0
 	// Prime the fast-path cache at window 0 (row 0 under any geometry).
 	s.curStart, s.curBase = 0, 0
 }
@@ -111,7 +109,7 @@ func (s *Series) Reconfigure(width int64, cols, capWindows int) {
 // populated, not ring capacity, which is what keeps per-run pooled
 // reuse cheap when the default 16K-window ring is mostly idle.
 func (s *Series) clearUsed() {
-	if s.n != 0 || s.spilled != 0 {
+	if s.n != 0 {
 		for w := s.lo; w <= s.hi; w++ {
 			r := s.row(w)
 			for c := range r {
@@ -120,7 +118,7 @@ func (s *Series) clearUsed() {
 		}
 		clear(s.spill)
 	}
-	s.lo, s.hi, s.n, s.spilled = 0, 0, 0, 0
+	s.lo, s.hi, s.n = 0, 0, 0
 }
 
 // Width returns the window width.
@@ -190,7 +188,6 @@ func (s *Series) addSlow(at int64, col int, v int64) {
 				s.spill[c] += ov
 				r[c] = 0
 			}
-			s.spilled++
 		}
 		// Zero the not-previously-used rows entering the range. Skip
 		// rows already cleared by the eviction loop above (ring slots
@@ -232,7 +229,7 @@ func (s *Series) HiWindow() int64 { return s.hi }
 
 // Len returns the number of retained windows (0 before any Add).
 func (s *Series) Len() int {
-	if s.n == 0 && s.spilled == 0 {
+	if s.n == 0 {
 		return 0
 	}
 	return int(s.hi - s.lo + 1)
@@ -254,8 +251,11 @@ func (s *Series) WindowStart(w int64) int64 { return w * s.width }
 // windows plus too-old adds). The returned slice aliases the series.
 func (s *Series) Spill() []int64 { return s.spill }
 
-// SpilledWindows returns how many windows were evicted from the ring.
-func (s *Series) SpilledWindows() int64 { return s.spilled }
+// SpilledWindows returns how many windows lie below the retained range:
+// windows the ring has moved past, whose adds are in Spill. It depends
+// only on the latest window seen, not on the order of the adds, so
+// recording the same adds in another order reports the same count.
+func (s *Series) SpilledWindows() int64 { return s.lo }
 
 // Total returns the exact sum of everything ever added to column col —
 // retained windows plus spill. Conservation checks compare this against

@@ -72,8 +72,11 @@ func TestLargeJump(t *testing.T) {
 	if s.At(w, 0) != 5 {
 		t.Errorf("landing window = %d, want 5", s.At(w, 0))
 	}
-	if s.SpilledWindows() != 1 {
-		t.Errorf("SpilledWindows = %d, want 1 (only the populated row)", s.SpilledWindows())
+	if s.SpilledWindows() != w-3 {
+		t.Errorf("SpilledWindows = %d, want %d (every window below the retained range)", s.SpilledWindows(), w-3)
+	}
+	if s.Spill()[0] != 2 {
+		t.Errorf("spill total = %d, want 2 (only the populated row evicted)", s.Spill()[0])
 	}
 	if s.Total(0) != 7 {
 		t.Errorf("Total = %d, want 7", s.Total(0))
@@ -82,6 +85,26 @@ func TestLargeJump(t *testing.T) {
 		if got := s.At(w-1-i, 0); got != 0 {
 			t.Errorf("window %d = %d, want 0 (fresh rows zeroed)", w-1-i, got)
 		}
+	}
+}
+
+// TestSpilledWindowsOrderFree checks the spilled-window count does not
+// depend on the order of the adds: a straggler that arrives after the
+// ring moved past its window reports the same count as when it arrived
+// first.
+func TestSpilledWindowsOrderFree(t *testing.T) {
+	inOrder, late := New(10, 1, 2), New(10, 1, 2)
+	for _, at := range []int64{0, 10, 20, 30} {
+		inOrder.Add(at, 0, 1)
+	}
+	for _, at := range []int64{0, 30, 10, 20} {
+		late.Add(at, 0, 1)
+	}
+	if a, b := inOrder.SpilledWindows(), late.SpilledWindows(); a != 2 || b != 2 {
+		t.Errorf("SpilledWindows in order %d, with stragglers %d, want 2 both", a, b)
+	}
+	if a, b := inOrder.Spill()[0], late.Spill()[0]; a != b {
+		t.Errorf("spill in order %d, with stragglers %d", a, b)
 	}
 }
 

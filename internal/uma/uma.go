@@ -233,15 +233,18 @@ func (t *Thread) writeCost(va int64, cur sim.Time) (delay, wait sim.Time) {
 }
 
 // chargeAccess attributes and charges one burst: queueing for the bus
-// under CauseQueue, the rest as (uniform) local access latency.
+// under CauseQueue, the rest as (uniform) local access latency. The
+// handoff is owed (sim.Thread.AdvanceLater); every memory op takes an
+// owed one (Sync) before it reads the caches, bus or memory.
 func (t *Thread) chargeAccess(d, wait sim.Time) {
 	t.st.Attribute(sim.CauseQueue, wait)
 	t.st.Attribute(sim.CauseLocalAccess, d-wait)
-	t.st.Advance(d)
+	t.st.AdvanceLater(d)
 }
 
 // Read returns the word at va.
 func (t *Thread) Read(va int64) uint32 {
+	t.st.Sync()
 	d, wait := t.readCost(va, t.st.Now())
 	v := t.m.memory[va]
 	t.chargeAccess(d, wait)
@@ -250,6 +253,7 @@ func (t *Thread) Read(va int64) uint32 {
 
 // Write stores v at va.
 func (t *Thread) Write(va int64, v uint32) {
+	t.st.Sync()
 	d, wait := t.writeCost(va, t.st.Now())
 	t.m.memory[va] = v
 	t.chargeAccess(d, wait)
@@ -258,6 +262,7 @@ func (t *Thread) Write(va int64, v uint32) {
 // ReadRange fills dst from va onward, charging per-word cache/bus costs
 // but advancing the clock once (the range is treated as one burst).
 func (t *Thread) ReadRange(va int64, dst []uint32) {
+	t.st.Sync()
 	cur := t.st.Now()
 	var d, wait sim.Time
 	for i := range dst {
@@ -271,6 +276,7 @@ func (t *Thread) ReadRange(va int64, dst []uint32) {
 
 // WriteRange stores src at va onward as one burst.
 func (t *Thread) WriteRange(va int64, src []uint32) {
+	t.st.Sync()
 	cur := t.st.Now()
 	var d, wait sim.Time
 	for i := range src {
@@ -284,6 +290,7 @@ func (t *Thread) WriteRange(va int64, src []uint32) {
 
 // AtomicAdd performs a locked read-modify-write.
 func (t *Thread) AtomicAdd(va int64, delta uint32) uint32 {
+	t.st.Sync()
 	cfg := &t.m.cfg
 	wait := t.m.bus(t.st.Now(), cfg.AtomicBusOcc)
 	line := va / int64(cfg.LineWords)
