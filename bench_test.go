@@ -156,7 +156,8 @@ func BenchmarkReplSource(b *testing.B) {
 // platform configuration), so "off" is the clean baseline; the "on"
 // variant additionally reports the fault-latency percentiles the
 // histograms exist to produce. The overhead budget is <2% and zero
-// extra allocations per op (scripts/bench-snapshot.sh records both).
+// extra allocations per op (`go test -bench GaussTelemetry -benchmem`
+// reports both).
 func BenchmarkGaussTelemetry(b *testing.B) {
 	run := func(b *testing.B, instrument bool) {
 		key := "bench-gauss:telemetry=off"

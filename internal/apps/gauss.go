@@ -76,13 +76,9 @@ func gaussReference(cfg GaussConfig) []uint32 {
 	n := cfg.N
 	m := gaussInput(cfg)
 	for k := 0; k < n-1; k++ {
-		pivot := m[k*n:]
+		pivot := m[k*n+k : (k+1)*n]
 		for j := k + 1; j < n; j++ {
-			mult := gaussMult(j, k)
-			row := m[j*n:]
-			for c := k; c < n; c++ {
-				row[c] -= mult * pivot[c]
-			}
+			mulSub(m[j*n+k:], pivot, gaussMult(j, k))
 		}
 	}
 	return m
@@ -183,13 +179,7 @@ func runGaussShared(pl *PlatinumPlatform, cfg GaussConfig, scatter bool) (GaussR
 				// contrast).
 				t.ReadRange(rowVA(kk)+int64(kk), pivot[kk:])
 				t.UpdateSlice(rowVA(j)+int64(kk), width, func(base int, w []uint32) {
-					// Equal-length slices let the compiler drop the
-					// bounds check in the innermost loop of the suite.
-					pv := pivot[kk+base : kk+base+len(w)]
-					w = w[:len(pv)]
-					for c, v := range pv {
-						w[c] -= mult * v
-					}
+					mulSub(w, pivot[kk+base:kk+base+len(w)], mult)
 				})
 				t.Compute(cfg.OpCost * sim.Time(width))
 			}
@@ -271,11 +261,7 @@ func RunGaussSMP(pl *PlatinumPlatform, cfg GaussConfig) (GaussResult, error) {
 					if j <= kk {
 						continue
 					}
-					mult := gaussMult(j, kk)
-					row := rows[j]
-					for c := kk; c < n; c++ {
-						row[c] -= mult * pivot[c-kk]
-					}
+					mulSub(rows[j][kk:], pivot[:n-kk], gaussMult(j, kk))
 					width := n - kk
 					// Arithmetic plus local row traffic.
 					t.Compute((cfg.OpCost + 3*320*sim.Nanosecond) * sim.Time(width))
