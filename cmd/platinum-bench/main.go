@@ -9,10 +9,10 @@
 //
 // With no -exp it runs every experiment. -quick scales problem sizes
 // down (the full sizes are the paper's). -j bounds how many independent
-// simulation runs execute concurrently (default: all CPUs); the tables
-// are identical at any setting. -json emits one JSON object per
-// experiment instead of aligned tables. -list prints the experiment
-// index and exits. -topology loads a machine description in the
+// simulation runs execute concurrently (default and 0: all CPUs; a
+// negative value is a usage error); the tables are identical at any
+// setting. -json emits one JSON object per experiment instead of
+// aligned tables. -list prints the experiment index and exits. -topology loads a machine description in the
 // TOPOLOGY.md JSON format for experiments that accept one (topo-custom).
 // -status serves a read-only HTTP monitor on addr (e.g. ":8090"): GET /
 // returns JSON progress (experiments and simulation runs done vs total,
@@ -75,6 +75,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *jobs < 0 {
+		fmt.Fprintln(stderr, "platinum-bench: -j must be positive, or 0 for one run per CPU")
 		return 2
 	}
 	fail := func(err error) int {

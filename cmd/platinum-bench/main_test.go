@@ -31,10 +31,27 @@ func TestListExperiments(t *testing.T) {
 	}
 }
 
+// TestUnknownExperimentFails checks that an argument the command cannot
+// honour is a usage error (exit 2, a message, no run) rather than a
+// silent fallback.
 func TestUnknownExperimentFails(t *testing.T) {
-	_, _, code := runCmd(t, "-exp", "nosuch")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "nosuch"}, `unknown experiment "nosuch"`},
+		{[]string{"-quick", "-exp", "fig1", "-j", "-3"}, "-j must be positive"},
+	} {
+		out, errs, code := runCmd(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit code %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errs, tc.want) {
+			t.Errorf("%v: stderr %q does not name the problem", tc.args, errs)
+		}
+		if out != "" {
+			t.Errorf("%v: ran despite the usage error:\n%.200s", tc.args, out)
+		}
 	}
 }
 
@@ -69,9 +86,10 @@ func TestOutputIdenticalAcrossJ(t *testing.T) {
 }
 
 // TestStatusEndpoint runs a small sweep with the monitor attached at
-// -j 4 and checks both endpoints: once mid-run via the listen hook, and
-// once after the sweep completes (the server goroutine outlives run())
-// to verify the final counts balance.
+// -j 4 and checks both endpoints: once from the listen hook, before the
+// sweep starts, and once after it completes (the server goroutine
+// outlives run()) to verify the final counts balance. Reads that
+// overlap a live sweep are internal/exp's TestProgressMidSweep.
 func TestStatusEndpoint(t *testing.T) {
 	var addr string
 	statusHook = func(a string) {

@@ -17,6 +17,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{"negative duration", []string{"-duration", "-1s"}, "-duration must be positive"},
 		{"zero procs", []string{"-procs", "0"}, "Procs = 0"},
+		{"zero frames", []string{"-frames", "0"}, "FramesPerModule = 0"},
 		{"unknown bug", []string{"-bug", "nosuch", "-ops", "200"}, `Bug = "nosuch"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,8 @@
 // Command platinum-vet runs the project's static-analysis suite
 // (internal/analysis) over the module tree: the determinism,
-// cost-attribution, protocol-panic, hot-path allocation and atomics
-// analyzers that enforce at vet time the invariants the test suite
-// otherwise only catches at run time.
+// cost-attribution, protocol-panic and hot-path allocation analyzers
+// that enforce at vet time the invariants the test suite otherwise only
+// catches at run time.
 //
 // Usage:
 //
@@ -16,18 +16,16 @@
 // Flags:
 //
 //	-json          emit the result as JSON (internal/analysis.Result)
-//	-sarif         emit the result as SARIF 2.1.0 (for code scanning)
 //	-list          print the registered analyzers (name and doc) and exit
 //	-srcroot dir   load packages from a GOPATH-style source tree rooted
 //	               at dir instead of the enclosing module (used by the
 //	               fixture tests and the CI negative-fixture check)
 //
 // The suite is fact-aware and multi-pass: the requested packages'
-// local dependency closure is analyzed in import order so that
-// interprocedural analyzers (detwalk, hotescape, atomicsafe) see facts
-// exported by the packages a checked package imports, while findings
-// are reported only for the packages actually named on the command
-// line.
+// local dependency closure is analyzed in import order so that the
+// interprocedural analyzers (detwalk, hotescape) see facts exported by
+// the packages a checked package imports, while findings are reported
+// only for the packages actually named on the command line.
 //
 // Exit status: 0 when the tree is clean, 1 when there are findings or
 // malformed suppression directives, 2 on usage or load errors.
@@ -61,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("platinum-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	list := fs.Bool("list", false, "list registered analyzers and exit")
 	srcroot := fs.String("srcroot", "", "load packages from this GOPATH-style source root instead of the module")
 	if err := fs.Parse(args); err != nil {
@@ -101,22 +98,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res.RelativeTo(wd)
 	}
 
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
 			fmt.Fprintf(stderr, "platinum-vet: %v\n", err)
 			return 2
 		}
-	case *sarifOut:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(analysis.ToSARIF(res, analyzers)); err != nil {
-			fmt.Fprintf(stderr, "platinum-vet: %v\n", err)
-			return 2
-		}
-	default:
+	} else {
 		printText(stdout, res, len(pkgs))
 	}
 	if res.Failed() {

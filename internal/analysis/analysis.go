@@ -2,19 +2,18 @@
 // enforces, at compile time, the invariants every quantitative claim in
 // this reproduction rests on at run time: deterministic dispatch
 // (byte-identical reports across -j1/-j8), exact cost conservation and
-// cause attribution, panic-free protocol paths, race-free atomics and
-// allocation-free hot paths. Facts a table can hold (per-kind names,
-// classes and telemetry roles) live in their kind tables and need no
-// analyzer.
+// cause attribution, panic-free protocol paths and allocation-free hot
+// paths. Facts a table can hold (per-kind names, classes and telemetry
+// roles) live in their kind tables and need no analyzer.
 //
 // The package mirrors the shape of golang.org/x/tools/go/analysis — an
 // Analyzer with a Run function over a Pass carrying the type-checked
 // package — but is built entirely on the standard library (go/parser,
 // go/types and the "source" importer), so it needs no module downloads
 // and runs in a hermetic build. See the analyzer files (nodeterminism,
-// chargecause, noprotocolpanic, hotalloc, detwalk, hotescape,
-// atomicsafe) for what is enforced and why, and cmd/platinum-vet for
-// the multichecker that runs the suite over the tree.
+// chargecause, noprotocolpanic, hotalloc, detwalk, hotescape) for what
+// is enforced and why, and cmd/platinum-vet for the multichecker that
+// runs the suite over the tree.
 //
 // Findings can be suppressed per line with
 //
@@ -39,17 +38,12 @@ import (
 //
 // Requires lists the analyzers whose facts this one consumes (via
 // Pass.FactOf); the scheduler runs them first on every package and
-// auto-includes them in any run that includes this analyzer. Finish,
-// when non-nil, runs once after every package has been analyzed — the
-// hook for whole-program checks that need facts from the entire
-// dependency closure (its Pass carries no Files/Pkg/Info, only the
-// run-wide state: Fset, AllPackages, FactOf, Reportf).
+// auto-includes them in any run that includes this analyzer.
 type Analyzer struct {
 	Name     string
 	Doc      string
 	Run      func(*Pass) error
 	Requires []*Analyzer
-	Finish   func(*Pass) error
 }
 
 // Pass carries one type-checked, non-test package through one analyzer.
@@ -179,10 +173,9 @@ func isProtocolPackage(path string) bool {
 }
 
 // All returns the full analyzer suite in stable registration order.
-// The syntactic, single-package analyzers come first; the three
-// interprocedural, fact-driven analyzers (detwalk, hotescape,
-// atomicsafe) close the list. The scheduler reorders per package as
-// Requires demands.
+// The syntactic, single-package analyzers come first; the two
+// interprocedural, fact-driven analyzers (detwalk, hotescape) close the
+// list. The scheduler reorders per package as Requires demands.
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerNoDeterminism,
@@ -191,6 +184,5 @@ func All() []*Analyzer {
 		AnalyzerHotAlloc,
 		AnalyzerDetWalk,
 		AnalyzerHotEscape,
-		AnalyzerAtomicSafe,
 	}
 }

@@ -2,10 +2,8 @@ package analysis
 
 import (
 	"go/ast"
-	"go/build/constraint"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // This file is the facts layer of the framework: the run-wide state
@@ -17,7 +15,7 @@ import (
 //
 // A fact is a value an analyzer attaches to a types.Object — in
 // practice a *types.Func ("transitively reaches the wall clock", "may
-// allocate") or a *types.Var ("this field is accessed atomically").
+// allocate").
 // Facts are in-memory only: one Run analyzes the full dependency
 // closure of the requested packages in import order, so by the time a
 // package is analyzed every fact about its dependencies has already
@@ -124,11 +122,6 @@ func (p *Pass) requires(an *Analyzer) bool {
 	return false
 }
 
-// AllPackages returns every package of the run in dependency order —
-// the requested packages and their local import closure. Finish hooks
-// use it for whole-program checks.
-func (p *Pass) AllPackages() []*Package { return p.state.pkgs }
-
 // PackageReported reports whether findings in the package at path are
 // part of this run's report scope. Frontier-style analyzers use it to
 // report a taint exactly once: at the call edge where it enters the
@@ -151,34 +144,6 @@ func (p *Pass) IsSuppressed(pos token.Pos, analyzer string) bool {
 		}
 		for _, name := range d.analyzers {
 			if name == analyzer {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// isRaceOnlyFile reports whether f carries a build constraint that is
-// only satisfied with the race build tag (//go:build race). Such files
-// hold race-detector-only instrumentation; consistency analyzers like
-// atomicsafe skip them, mirroring how the code they guard is compiled.
-func isRaceOnlyFile(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		// Constraints must precede the package clause.
-		if cg.Pos() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) && !strings.HasPrefix(c.Text, "// +build") {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			withoutRace := expr.Eval(func(tag string) bool { return false })
-			withRace := expr.Eval(func(tag string) bool { return tag == "race" })
-			if withRace && !withoutRace {
 				return true
 			}
 		}

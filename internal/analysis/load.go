@@ -26,10 +26,10 @@ type Package struct {
 
 // Loader parses and type-checks packages from source. Local packages
 // (those under one of the loader's roots) are type-checked from the
-// .go files this toolchain builds, excluding _test.go files (but
-// keeping race-only ones); everything else — in practice
-// the standard library — is resolved through the go/importer "source"
-// importer, so loading needs neither export data nor network access.
+// .go files this toolchain builds (build.Default's constraints),
+// excluding _test.go files; everything else — in practice the standard
+// library — is resolved through the go/importer "source" importer, so
+// loading needs neither export data nor network access.
 type Loader struct {
 	Fset *token.FileSet
 
@@ -39,9 +39,6 @@ type Loader struct {
 	// import path is the directory path relative to the root.
 	roots map[string]string
 
-	// ctx selects a package's files the way this toolchain's build
-	// does, plus race-only files, which atomicsafe sees to skip them.
-	ctx  build.Context
 	std  types.Importer
 	pkgs map[string]*Package
 	// loading guards against import cycles in local packages.
@@ -51,12 +48,9 @@ type Loader struct {
 // NewLoader returns a loader over the given root set.
 func NewLoader(roots map[string]string) *Loader {
 	fset := token.NewFileSet()
-	ctx := build.Default
-	ctx.BuildTags = append([]string{"race"}, ctx.BuildTags...)
 	return &Loader{
 		Fset:    fset,
 		roots:   roots,
-		ctx:     ctx,
 		std:     importer.ForCompiler(fset, "source", nil),
 		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
@@ -233,7 +227,7 @@ func (l *Loader) load(importPath string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
 			continue
 		}
-		if match, err := l.ctx.MatchFile(dir, n); err != nil {
+		if match, err := build.Default.MatchFile(dir, n); err != nil {
 			return nil, err
 		} else if !match {
 			continue

@@ -65,10 +65,9 @@ func Run(analyzers []*Analyzer, pkgs []*Package) (*Result, error) {
 // Scheduling is deterministic: packages run in import-dependency order
 // (dependencies first, registration order breaking ties), analyzers run
 // per package in Requires order (producers before consumers, given
-// order breaking ties), analyzers listed in Requires but missing from
-// the given set are auto-included, and Finish hooks run once at the end
-// in analyzer order. Findings are sorted by file, line, column,
-// analyzer.
+// order breaking ties), and analyzers listed in Requires but missing
+// from the given set are auto-included. Findings are sorted by file,
+// line, column, analyzer.
 func RunScoped(analyzers []*Analyzer, pkgs []*Package, report map[string]bool) (*Result, error) {
 	analyzers, err := scheduleAnalyzers(analyzers)
 	if err != nil {
@@ -99,15 +98,6 @@ func RunScoped(analyzers []*Analyzer, pkgs []*Package, report map[string]bool) (
 			if err := an.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", an.Name, pkg.Path, err)
 			}
-		}
-	}
-	for _, an := range analyzers {
-		if an.Finish == nil {
-			continue
-		}
-		pass := &Pass{Analyzer: an, Fset: st.fset, state: st, diags: &diags}
-		if err := an.Finish(pass); err != nil {
-			return nil, fmt.Errorf("%s (finish): %w", an.Name, err)
 		}
 	}
 

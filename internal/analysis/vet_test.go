@@ -53,18 +53,6 @@ func TestHotEscape(t *testing.T) {
 		[]*analysis.Analyzer{analysis.AnalyzerHotEscape}, "hotescape")
 }
 
-// TestAtomicSafe checks the whole-program mixed-access analyzer: the
-// atomic sites sit in one file, the flagged plain accesses in another,
-// a race-build file is skipped, and the adjudicated pre-publication
-// write is suppressed (visibly) rather than reported.
-func TestAtomicSafe(t *testing.T) {
-	res := analysistest.Run(t, fixtures,
-		[]*analysis.Analyzer{analysis.AnalyzerAtomicSafe}, "atomicsafe")
-	if got := len(res.Suppressed); got != 1 {
-		t.Errorf("suppressed findings = %d, want 1 (the pre-publication init write)", got)
-	}
-}
-
 // TestStaleSuppression proves the stale-directive contract both ways:
 // a well-formed, unused //lint:ignore fails the run when its named
 // analyzer ran, and is left unjudged when it did not (the analyzer
@@ -143,7 +131,7 @@ func TestSuppressionClean(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	want := []string{
 		"nodeterminism", "chargecause", "noprotocolpanic", "hotalloc",
-		"detwalk", "hotescape", "atomicsafe",
+		"detwalk", "hotescape",
 	}
 	all := analysis.All()
 	if len(all) != len(want) {
@@ -171,8 +159,8 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestLoaderHonorsBuildConstraints checks that the loader type-checks
-// the files this toolchain builds: a file constrained to older Go
-// versions is left out, and a race-only file is kept for atomicsafe.
+// exactly the files this toolchain builds: a file constrained to older
+// Go versions is left out, and so is a race-only file.
 func TestLoaderHonorsBuildConstraints(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "guarded")
 	if err := os.Mkdir(dir, 0o755); err != nil {
@@ -191,10 +179,10 @@ func TestLoaderHonorsBuildConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got := len(pkgs[0].Files); got != 2 {
-		t.Errorf("loaded %d files, want new.go and race.go", got)
+	if got := len(pkgs[0].Files); got != 1 {
+		t.Errorf("loaded %d files, want new.go only", got)
 	}
-	if pkgs[0].Types.Scope().Lookup("RaceOnly") == nil {
-		t.Error("race-only file was left out")
+	if pkgs[0].Types.Scope().Lookup("RaceOnly") != nil {
+		t.Error("race-only file was loaded")
 	}
 }

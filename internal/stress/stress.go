@@ -146,8 +146,9 @@ func DefaultConfig() Config {
 }
 
 // Validate reports a configuration Generate cannot draw a schedule
-// from (a negative length, or no processors, spaces or pages to pick)
-// or a Bug the harness does not know.
+// from (a negative length, or no processors, spaces or pages to pick),
+// a machine Replay cannot boot (no frames per module) or a Bug the
+// harness does not know.
 func (c Config) Validate() error {
 	switch {
 	case c.Bug != "" && c.Bug != "desync":
@@ -160,6 +161,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("stress: Spaces = %d, must be >= 1", c.Spaces)
 	case c.Pages < 1:
 		return fmt.Errorf("stress: Pages = %d, must be >= 1", c.Pages)
+	case c.FramesPerModule < 1:
+		return fmt.Errorf("stress: FramesPerModule = %d, must be >= 1", c.FramesPerModule)
 	}
 	return nil
 }

@@ -177,6 +177,7 @@ func TestInvalidConfigIsAFailure(t *testing.T) {
 		{"Spaces", func(c *Config) { c.Spaces = -1 }},
 		{"Pages", func(c *Config) { c.Pages = 0 }},
 		{"Pages", func(c *Config) { c.Pages = -1 }},
+		{"FramesPerModule", func(c *Config) { c.FramesPerModule = 0 }},
 		{"Bug", func(c *Config) { c.Bug = "nosuch" }},
 	}
 	for _, tc := range cases {
